@@ -12,9 +12,10 @@
 //
 // With `--manifest out.json`, also writes a run manifest: the workload
 // shape, the results (correctness figures, iteration counts, bound
-// widths, raw ms), and the obs metrics registry. Raw ms are
-// machine-specific trajectory records; tools/bench_compare.py gates CI
-// on the correctness and convergence figures only.
+// widths, raw ms, the same-machine ratio bp_over_ve_16), and the obs
+// metrics registry. Raw ms are machine-specific trajectory records;
+// tools/bench_compare.py gates CI on the correctness and convergence
+// figures and on an absolute ceiling for bp_over_ve_16.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -46,7 +47,10 @@ sysuq::bayesnet::BayesianNetwork grid_network(std::size_t w, std::size_t h) {
   bayesnet::BayesianNetwork net;
   for (std::size_t r = 0; r < h; ++r)
     for (std::size_t c = 0; c < w; ++c)
-      net.add_variable("g" + std::to_string(r) + "_" + std::to_string(c),
+      net.add_variable(std::string("g")
+                           .append(std::to_string(r))
+                           .append("_")
+                           .append(std::to_string(c)),
                        {"0", "1"});
   for (std::size_t r = 0; r < h; ++r) {
     for (std::size_t c = 0; c < w; ++c) {
@@ -133,7 +137,8 @@ int main(int argc, char** argv) {
     bayesnet::BayesianNetwork net;
     std::vector<bayesnet::VariableId> parents;
     for (std::size_t i = 0; i < n; ++i) {
-      const auto id = net.add_variable("p" + std::to_string(i), {"0", "1"});
+      const auto id =
+          net.add_variable(std::string("p").append(std::to_string(i)), {"0", "1"});
       net.set_cpt(id, {}, {prob::Categorical({0.9, 0.1})});
       parents.push_back(id);
     }
@@ -202,18 +207,22 @@ int main(int argc, char** argv) {
               grid_marginals.size(), grid_ms, grid_profile.bp_iterations,
               grid_max_width);
 
+  // Same-machine cost of BP relative to exact VE on noisy-OR-16: both
+  // timings come from this process, so the ratio travels across machines
+  // where raw ms do not.
+  const double bp_over_ve_16 = ms_bp_16 / ms_ve_16;
   std::printf(
       "\nBENCH {\"bench\":\"cpt_explosion\",\"bp_converged\":%s,"
       "\"feasible_intervals_contain_exact\":%s,\"feasible_max_abs_gap\":%.3e,"
       "\"feasible_max_width\":%.3e,\"feasible_max_iterations\":%zu,"
       "\"grid_converged\":%s,\"grid_iterations\":%zu,"
       "\"grid_max_bound_width\":%.4f,\"ms_ve_16\":%.3f,\"ms_bp_16\":%.3f,"
-      "\"ms_grid\":%.1f}\n",
+      "\"bp_over_ve_16\":%.3f,\"ms_grid\":%.1f}\n",
       bp_converged ? "true" : "false",
       feasible_intervals_contain_exact ? "true" : "false",
       feasible_max_abs_gap, feasible_max_width, feasible_max_iterations,
       grid_converged ? "true" : "false", grid_profile.bp_iterations,
-      grid_max_width, ms_ve_16, ms_bp_16, grid_ms);
+      grid_max_width, ms_ve_16, ms_bp_16, bp_over_ve_16, grid_ms);
 
   if (!manifest_path.empty()) {
     // BENCH_cpt_explosion.json: tracked manifest (docs/bench_trajectory.md).
@@ -230,12 +239,13 @@ int main(int argc, char** argv) {
         "\"feasible_max_abs_gap\":%.3e,\"feasible_max_width\":%.3e,"
         "\"feasible_max_iterations\":%zu,\"grid_converged\":%s,"
         "\"grid_iterations\":%zu,\"grid_max_bound_width\":%.4f,"
-        "\"ms_ve_16\":%.3f,\"ms_bp_16\":%.3f,\"ms_grid\":%.1f}",
+        "\"ms_ve_16\":%.3f,\"ms_bp_16\":%.3f,\"bp_over_ve_16\":%.3f,"
+        "\"ms_grid\":%.1f}",
         bp_converged ? "true" : "false",
         feasible_intervals_contain_exact ? "true" : "false",
         feasible_max_abs_gap, feasible_max_width, feasible_max_iterations,
         grid_converged ? "true" : "false", grid_profile.bp_iterations,
-        grid_max_width, ms_ve_16, ms_bp_16, grid_ms);
+        grid_max_width, ms_ve_16, ms_bp_16, bp_over_ve_16, grid_ms);
     out << "{\"bench\":\"cpt_explosion\",\"schema\":1"
         << ",\"workload\":{\"noisy_or_parents\":[4,8,12,16]"
         << ",\"grid_side\":" << kGridSide

@@ -57,7 +57,8 @@ int main() {
     const auto sp = d.add_gate("sp", DynGateType::kSpare, {p, s}, 0, 0.3);
     std::vector<DynamicFaultTree::NodeId> ors{sp};
     for (std::size_t i = 0; i < extra; ++i) {
-      ors.push_back(d.add_basic_event("e" + std::to_string(i), 0.1));
+      ors.push_back(
+          d.add_basic_event(std::string("e").append(std::to_string(i)), 0.1));
     }
     d.set_top(d.add_gate("top", DynGateType::kOr, std::move(ors)));
     std::printf("  %6zu   %11zu   %.6f\n", 2 + extra, d.compiled_state_count(),

@@ -133,7 +133,9 @@ BENCHMARK(BM_LikelihoodWeighting)->Arg(1000)->Arg(10000);
 void BM_DempsterCombine(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   std::vector<std::string> names;
-  for (std::size_t i = 0; i < k; ++i) names.push_back("h" + std::to_string(i));
+  for (std::size_t i = 0; i < k; ++i) {
+    names.push_back(std::string("h").append(std::to_string(i)));
+  }
   const evidence::Frame frame(names);
   prob::Rng rng(3);
   std::map<evidence::FocalSet, double> ma, mb;
@@ -159,9 +161,11 @@ void BM_FtaExactProbability(benchmark::State& state) {
   const auto power = t.add_basic_event("power", 0.01);
   std::vector<fta::NodeId> chans;
   for (std::size_t c = 0; c < channels; ++c) {
-    const auto cam = t.add_basic_event("cam" + std::to_string(c), 0.05);
+    const auto cam =
+        t.add_basic_event(std::string("cam").append(std::to_string(c)), 0.05);
     chans.push_back(
-        t.add_gate("ch" + std::to_string(c), fta::GateType::kOr, {power, cam}));
+        t.add_gate(std::string("ch").append(std::to_string(c)),
+                   fta::GateType::kOr, {power, cam}));
   }
   t.set_top(t.add_gate("voter", fta::GateType::kKooN, chans, channels / 2 + 1));
   for (auto _ : state) {

@@ -722,8 +722,8 @@ QueryProfile InferenceEngine::explain(VariableId query,
     p.bp_damping = options_.bp.damping;
     p.final_residual = bp->final_residual();
     p.bound_width = bp->max_bound_width();
-    p.propagation_seconds = bp->build_seconds();
-    p.arena_high_water_bytes = bp->arena_high_water_bytes();
+    p.propagation_seconds = bp->propagation_seconds();
+    p.certification_seconds = bp->certification_seconds();
     const auto& posterior = bp->query(query);  // throws when P(e) = 0
     const auto t_read = clock::now();
     p.stages.push_back({"propagate", since(t_prop0, t_prop1)});

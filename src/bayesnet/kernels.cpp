@@ -435,6 +435,144 @@ Table reduce(const View& f, VariableId v, std::size_t state, Arena& arena) {
   return t;
 }
 
+void factor_messages(const View& f, const double* const* in,
+                     double* const* out) {
+  SYSUQ_EXPECT(f.rank >= 1 && f.rank <= kMaxRank,
+               "kernels::factor_messages: rank must be in [1, kMaxRank]");
+  for (std::size_t p = 0; p < f.rank; ++p) {
+    std::fill(out[p], out[p] + f.cards[p], 0.0);
+  }
+  // The odometer walks the outer dimensions 0..inner-1; the inner
+  // (fastest, contiguous) dimension is one block. For the current outer
+  // digits x_0..x_{inner-1}:
+  //   pre[k] = prod_{q<k} in[q][x_q]   (prefix product, k <= inner)
+  //   acc[k] = sum over the x_k values visited so far of
+  //            in[k][x_k] * G_{k+1}(x_0..x_k),
+  // where G_k(x_<k) = sum_{x_>=k} f(x) * prod_{q>=k} in[q][x_q] is the
+  // suffix-contracted table. Then out[k][i] collects pre[k] * G_{k+1}
+  // over every prefix x_<k with x_k = i — the leave-one-out product of
+  // position k without ever forming it.
+  const std::size_t inner = f.rank - 1;
+  const std::size_t cin = f.cards[inner];
+  double pre[kMaxRank], acc[kMaxRank];
+  std::size_t idx[kMaxRank];
+  pre[0] = 1.0;
+  for (std::size_t k = 0; k < inner; ++k) {
+    idx[k] = 0;
+    acc[k] = 0.0;
+    pre[k + 1] = pre[k] * in[k][0];
+  }
+  const double* v = f.values;
+  const double* m_in = in[inner];
+  double* o_in = out[inner];
+  const std::size_t blocks = f.size / cin;
+  for (std::size_t blk = 0; blk < blocks; ++blk, v += cin) {
+    const double prefix = pre[inner];
+    double g = 0.0;  // G_inner of this block
+    for (std::size_t j = 0; j < cin; ++j) {
+      o_in[j] += prefix * v[j];
+      g += v[j] * m_in[j];
+    }
+    // Fold the finished subtree into each level above; a level whose
+    // digit wraps has finished its own subtree and folds on upward.
+    for (std::size_t k = inner; k-- > 0;) {
+      out[k][idx[k]] += pre[k] * g;
+      acc[k] += in[k][idx[k]] * g;
+      if (++idx[k] < f.cards[k]) {
+        pre[k + 1] = pre[k] * in[k][idx[k]];
+        for (std::size_t q = k + 1; q < inner; ++q) {
+          pre[q + 1] = pre[q] * in[q][0];
+        }
+        break;
+      }
+      idx[k] = 0;
+      g = acc[k];
+      acc[k] = 0.0;
+    }
+  }
+}
+
+bool blanket_box(const View* touching, std::size_t ntouching, VariableId v,
+                 const VariableId* blanket, const std::size_t* blanket_cards,
+                 std::size_t nblanket, double* lo, double* hi) {
+  SYSUQ_EXPECT(ntouching >= 1, "kernels::blanket_box: no touching factor");
+  const std::size_t configs = checked_table_size(
+      blanket_cards, nblanket, "kernels::blanket_box: blanket configurations");
+  // Per touching factor t: its values, the flat stride of v, and one
+  // stride per blanket slot k (0 when the factor does not mention the
+  // slot's variable), stored slot-major so an odometer tick walks a
+  // contiguous row.
+  std::vector<const double*> vals(ntouching);
+  std::vector<std::size_t> vstride(ntouching, 0);
+  std::vector<std::size_t> bstride(nblanket * ntouching, 0);
+  std::size_t card = 0;
+  for (std::size_t t = 0; t < ntouching; ++t) {
+    const View& f = touching[t];
+    SYSUQ_EXPECT(f.rank <= kMaxRank,
+                 "kernels::blanket_box: rank exceeds kMaxRank");
+    std::size_t strides[kMaxRank];
+    own_strides(f.cards, f.rank, strides);
+    vals[t] = f.values;
+    bool has_v = false;
+    for (std::size_t pos = 0; pos < f.rank; ++pos) {
+      if (f.scope[pos] == v) {
+        SYSUQ_EXPECT(card == 0 || card == f.cards[pos],
+                     "kernels::blanket_box: cardinality mismatch on v");
+        vstride[t] = strides[pos];
+        card = f.cards[pos];
+        has_v = true;
+        continue;
+      }
+      const VariableId* slot =
+          std::lower_bound(blanket, blanket + nblanket, f.scope[pos]);
+      SYSUQ_EXPECT(slot != blanket + nblanket && *slot == f.scope[pos],
+                   "kernels::blanket_box: a factor variable is missing from "
+                   "the blanket");
+      const auto k = static_cast<std::size_t>(slot - blanket);
+      SYSUQ_EXPECT(blanket_cards[k] == f.cards[pos],
+                   "kernels::blanket_box: blanket cardinality mismatch");
+      bstride[k * ntouching + t] = strides[pos];
+    }
+    SYSUQ_EXPECT(has_v, "kernels::blanket_box: a touching factor lacks v");
+  }
+
+  std::fill(lo, lo + card, 1.0);
+  std::fill(hi, hi + card, 0.0);
+  std::vector<std::size_t> off(ntouching, 0), states(nblanket, 0);
+  std::vector<double> w(card);
+  bool feasible = false;
+  for (std::size_t c = 0; c < configs; ++c) {
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < card; ++i) {
+      double prod = 1.0;
+      for (std::size_t t = 0; t < ntouching; ++t) {
+        prod *= vals[t][off[t] + i * vstride[t]];
+      }
+      w[i] = prod;
+      wsum += prod;
+    }
+    if (wsum > 0.0) {
+      feasible = true;
+      for (std::size_t i = 0; i < card; ++i) {
+        lo[i] = std::min(lo[i], w[i] / wsum);
+        hi[i] = std::max(hi[i], w[i] / wsum);
+      }
+    }
+    for (std::size_t k = nblanket; k-- > 0;) {
+      const std::size_t* s = &bstride[k * ntouching];
+      if (++states[k] < blanket_cards[k]) {
+        for (std::size_t t = 0; t < ntouching; ++t) off[t] += s[t];
+        break;
+      }
+      states[k] = 0;
+      for (std::size_t t = 0; t < ntouching; ++t) {
+        off[t] -= s[t] * (blanket_cards[k] - 1);
+      }
+    }
+  }
+  return feasible;
+}
+
 double total(const double* values, std::size_t n) noexcept {
   if (n <= 32) {
     double s = 0.0;

@@ -125,6 +125,40 @@ void reduce_into(const View& f, std::size_t pos, std::size_t state,
 [[nodiscard]] Table reduce(const View& f, VariableId v, std::size_t state,
                            Arena& arena);
 
+// ---------------------------------------------------------------------
+// Loopy-BP kernels: fused sweeps over factor tables, with no arena and
+// no per-cell index arithmetic.
+
+/// Every outgoing sum-product message of factor `f` in one mixed-radix
+/// sweep over its table:
+///   out[p][i] = sum over cells x with x_p = i of
+///               f(x) * prod_{q != p} in[q][x_q]
+/// for every scope position p (unnormalized). `in[q]` holds f.cards[q]
+/// values (the message into the factor from scope variable q);
+/// `out[p]` has room for f.cards[p] values and is overwritten. The
+/// leave-one-out products factor into a prefix product of the outer
+/// dimensions' messages times a suffix-contracted partial sum, both
+/// carried across odometer ticks, so the work is O(|f|) per factor (not
+/// O(|f|·rank²)) and uses no division: zero messages stay exact.
+/// Requires 1 <= f.rank <= kMaxRank.
+void factor_messages(const View& f, const double* const* in,
+                     double* const* out);
+
+/// Exact Markov-blanket convexity box of variable `v`. Every factor in
+/// `touching[0..ntouching)` contains `v`; `blanket[0..nblanket)` is the
+/// sorted union of their scopes minus `v`, with cardinalities
+/// `blanket_cards`. For every blanket configuration b, in mixed-radix
+/// order (last variable fastest), the conditional
+///   w_i / sum_j w_j,   w_i = prod_t touching[t](v = i, B = b)
+/// (factors multiplied in the order given) is enveloped into `lo`/`hi`
+/// (card(v) values each, overwritten). Table offsets advance by
+/// precomputed strides as the odometer ticks. Returns false when every
+/// configuration carries zero mass.
+[[nodiscard]] bool blanket_box(const View* touching, std::size_t ntouching,
+                               VariableId v, const VariableId* blanket,
+                               const std::size_t* blanket_cards,
+                               std::size_t nblanket, double* lo, double* hi);
+
 /// Sum of `n` values by pairwise (cascade) summation: error grows
 /// O(log n) in the term count instead of O(n) for a naive left fold.
 // sysuq-lint-allow(contract-coverage): total linear sum over any span

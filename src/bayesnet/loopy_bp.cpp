@@ -131,14 +131,17 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
   }
 
   const obs::Span span("bayesnet.bp.run");
-  const auto t0 = std::chrono::steady_clock::now();
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
   build_factor_graph();
   if (!impossible_) run_message_passing();
   if (!impossible_) extract_marginals();
+  const auto t1 = clock::now();
   if (!impossible_) certify_bounds();
-  build_seconds_ = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
+  const auto t2 = clock::now();
+  propagation_seconds_ = std::chrono::duration<double>(t1 - t0).count();
+  certification_seconds_ = std::chrono::duration<double>(t2 - t1).count();
+  build_seconds_ = propagation_seconds_ + certification_seconds_;
 
   auto& metrics = BpMetrics::instance();
   metrics.runs.inc();
@@ -188,53 +191,51 @@ void LoopyBP::build_factor_graph() {
 }
 
 void LoopyBP::run_message_passing() {
-  auto& arena = kernels::thread_scratch();
-  arena.reset();
-
-  // Edge ids are contiguous per factor; first_edge[fi] + pos addresses
-  // the (factor fi, scope position pos) pair in O(1).
+  // Edge ids are contiguous per factor in scope order, so the incoming
+  // (var->factor) and staged outgoing (factor->var) messages of factor
+  // fi are the pointer runs starting at first_edge[fi]. Every message
+  // vector keeps its size for the whole run, so the pointers stay valid.
   std::vector<std::size_t> first_edge(factors_.size(), 0);
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     if (edges_[e].pos == 0) first_edge[edges_[e].factor] = e;
   }
+  std::vector<std::vector<double>> staged(edges_.size());
+  std::vector<const double*> in(edges_.size());
+  std::vector<double*> out(edges_.size());
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    staged[e].resize(edges_[e].to_var.size());
+    in[e] = edges_[e].to_factor.data();
+    out[e] = staged[e].data();
+  }
 
-  // One undamped factor->var update for edge e, computed from the
-  // previous iteration's var->factor messages. Returns the linear total
-  // before normalization (zero total = impossible evidence).
-  std::vector<double> staged_msg;
-  const auto update_to_var = [&](std::size_t eid, std::vector<double>& out) {
-    const Edge& e = edges_[eid];
-    const Factor& fac = factors_[e.factor];
-    kernels::View cur = kernels::view_of(fac);
-    const auto& scope = fac.scope();
-    for (std::size_t pos = 0; pos < scope.size(); ++pos) {
-      if (pos == e.pos) continue;
-      const Edge& in = edges_[first_edge[e.factor] + pos];
-      const std::size_t card = in.to_factor.size();
-      kernels::View msg{&scope[pos], &card, in.to_factor.data(), 1, card};
-      cur = kernels::product(cur, msg, arena).view();
+  // Every undamped factor->var update, computed from the current
+  // var->factor messages into `staged` (normalized): one fused kernel
+  // sweep per factor. False when an update has zero mass (impossible
+  // evidence).
+  const auto update_all = [&] {
+    for (std::size_t fi = 0; fi < factors_.size(); ++fi) {
+      kernels::factor_messages(kernels::view_of(factors_[fi]),
+                               in.data() + first_edge[fi],
+                               out.data() + first_edge[fi]);
     }
-    const kernels::Table marg =
-        kernels::marginalize_keep(cur, &e.var, 1, arena);
-    out.assign(marg.values, marg.values + marg.size);
-    arena_high_water_ = std::max(arena_high_water_, arena.bytes_used());
-    arena.reset();
-    const double total = kernels::total(out.data(), out.size());
-    if (total > 0.0) kernels::scale(out.data(), out.size(), 1.0 / total);
-    return total;
+    for (auto& msg : staged) {
+      const double total = kernels::total(msg.data(), msg.size());
+      if (total <= 0.0) return false;
+      kernels::scale(msg.data(), msg.size(), 1.0 / total);
+    }
+    return true;
   };
 
-  std::vector<std::vector<double>> staged(edges_.size());
   for (std::size_t iter = 1; iter <= options_.max_iterations; ++iter) {
     iterations_ = iter;
     double residual = 0.0;
 
     // Phase 1: every factor->var message from the old var->factor set.
+    if (!update_all()) {
+      impossible_ = true;
+      return;
+    }
     for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-      if (update_to_var(eid, staged[eid]) <= 0.0) {
-        impossible_ = true;
-        return;
-      }
       const Edge& e = edges_[eid];
       for (std::size_t i = 0; i < staged[eid].size(); ++i) {
         residual = std::max(residual, std::abs(staged[eid][i] - e.to_var[i]));
@@ -282,13 +283,13 @@ void LoopyBP::run_message_passing() {
   // One extra undamped sweep measures how far the resting messages are
   // from a single application of the update operator — the residual
   // input b_e of the contraction system.
+  if (!update_all()) {
+    impossible_ = true;
+    return;
+  }
   for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-    if (update_to_var(eid, staged_msg) <= 0.0) {
-      impossible_ = true;
-      return;
-    }
     edges_[eid].residual_log_range =
-        log_range_between(staged_msg, edges_[eid].to_var);
+        log_range_between(staged[eid], edges_[eid].to_var);
   }
 }
 
@@ -389,6 +390,8 @@ void LoopyBP::certify_bounds() {
   // --- Per-variable certified intervals -------------------------------
   max_bound_width_ = 0.0;
   std::vector<double> w_lo, w_hi;
+  std::vector<kernels::View> views;
+  std::vector<std::size_t> blanket_cards;
   for (VariableId v = 0; v < net_.size(); ++v) {
     if (evidence_.contains(v)) continue;
     BoundedPosterior& out = marginals_[v];
@@ -412,9 +415,12 @@ void LoopyBP::certify_bounds() {
     std::sort(blanket.begin(), blanket.end());
     blanket.erase(std::unique(blanket.begin(), blanket.end()), blanket.end());
 
-    std::size_t configs = 1;
+    blanket_cards.clear();
     for (const VariableId u : blanket) {
-      const std::size_t c = net_.variable(u).cardinality();
+      blanket_cards.push_back(net_.variable(u).cardinality());
+    }
+    std::size_t configs = 1;
+    for (const std::size_t c : blanket_cards) {
       if (kernels::mul_overflows(configs, c)) {
         configs = options_.max_blanket_configs + 1;
         break;
@@ -425,53 +431,17 @@ void LoopyBP::certify_bounds() {
 
     bool any_feasible = false;
     if (configs <= options_.max_blanket_configs) {
-      // Exact enumeration: walk every blanket assignment in mixed-radix
-      // order and envelope the conditional P(v | B = b, e).
-      out.lo.assign(card, 1.0);
-      out.hi.assign(card, 0.0);
-      std::vector<std::size_t> states(blanket.size(), 0);
-      std::vector<std::vector<std::size_t>> slot(touching.size());
-      std::vector<std::vector<std::size_t>> fstates(touching.size());
-      for (std::size_t t = 0; t < touching.size(); ++t) {
-        const auto& scope = factors_[touching[t]].scope();
-        fstates[t].assign(scope.size(), 0);
-        slot[t].assign(scope.size(), blanket.size());  // sentinel = v itself
-        for (std::size_t pos = 0; pos < scope.size(); ++pos) {
-          if (scope[pos] == v) continue;
-          slot[t][pos] = static_cast<std::size_t>(
-              std::lower_bound(blanket.begin(), blanket.end(), scope[pos]) -
-              blanket.begin());
-        }
+      // Exact enumeration: envelope the conditional P(v | B = b, e) over
+      // every blanket assignment b.
+      views.clear();
+      for (const std::size_t fi : touching) {
+        views.push_back(kernels::view_of(factors_[fi]));
       }
-      std::vector<double> w(card);
-      for (std::size_t c = 0; c < configs; ++c) {
-        double wsum = 0.0;
-        for (std::size_t i = 0; i < card; ++i) {
-          double prod = 1.0;
-          for (std::size_t t = 0; t < touching.size(); ++t) {
-            const auto& scope = factors_[touching[t]].scope();
-            for (std::size_t pos = 0; pos < scope.size(); ++pos) {
-              fstates[t][pos] =
-                  slot[t][pos] == blanket.size() ? i : states[slot[t][pos]];
-            }
-            prod *= factors_[touching[t]].at(fstates[t]);
-          }
-          w[i] = prod;
-          wsum += prod;
-        }
-        if (wsum > 0.0) {
-          any_feasible = true;
-          for (std::size_t i = 0; i < card; ++i) {
-            out.lo[i] = std::min(out.lo[i], w[i] / wsum);
-            out.hi[i] = std::max(out.hi[i], w[i] / wsum);
-          }
-        }
-        // Next mixed-radix blanket assignment (last variable fastest).
-        for (std::size_t k = blanket.size(); k-- > 0;) {
-          if (++states[k] < net_.variable(blanket[k]).cardinality()) break;
-          states[k] = 0;
-        }
-      }
+      out.lo.resize(card);
+      out.hi.resize(card);
+      any_feasible = kernels::blanket_box(
+          views.data(), views.size(), v, blanket.data(), blanket_cards.data(),
+          blanket.size(), out.lo.data(), out.hi.data());
     } else {
       // Relaxation: per state i, bound the weight each factor can
       // contribute by its min/max over all blanket completions; the
@@ -489,10 +459,16 @@ void LoopyBP::certify_bounds() {
         }
         std::vector<double> fmin(card, kInf), fmax(card, 0.0);
         const auto& vals = fac.values();
-        for (std::size_t idx = 0; idx < vals.size(); ++idx) {
-          const std::size_t i = (idx / stride) % card;
-          fmin[i] = std::min(fmin[i], vals[idx]);
-          fmax[i] = std::max(fmax[i], vals[idx]);
+        // Row-major walk: blocks of card runs of `stride` cells, run i
+        // holding v = i.
+        for (std::size_t base = 0; base < vals.size(); base += card * stride) {
+          for (std::size_t i = 0; i < card; ++i) {
+            const double* run = vals.data() + base + i * stride;
+            for (std::size_t j = 0; j < stride; ++j) {
+              fmin[i] = std::min(fmin[i], run[j]);
+              fmax[i] = std::max(fmax[i], run[j]);
+            }
+          }
         }
         for (std::size_t i = 0; i < card; ++i) {
           w_lo[i] *= fmin[i];

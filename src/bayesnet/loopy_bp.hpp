@@ -4,8 +4,10 @@
 // flooding-schedule (synchronous / Jacobi) sum-product message passing
 // on the factor graph of the evidence-reduced CPTs. Where the exact
 // backends pay for treewidth — table sizes exponential in the largest
-// clique — BP's cost is linear in the total CPT size per iteration, so
-// it keeps answering on the treewidth-hostile networks where
+// clique — BP's cost is linear in the total CPT size per iteration (one
+// fused `kernels::factor_messages` sweep per factor computes all of its
+// outgoing messages; no scratch arena), so it keeps answering on the
+// treewidth-hostile networks where
 // `simulate_elimination` predicts the exact backends would die
 // (bench_cpt_explosion's regime, ROADMAP item 2).
 //
@@ -19,9 +21,9 @@
 //    blanket configurations b of P(v=i | B=b, e), and the conditional
 //    given the full blanket depends only on the factors touching v. We
 //    enumerate blanket configurations exactly up to
-//    `Options::max_blanket_configs` and take the min/max envelope;
-//    past the cap a per-factor min/max relaxation bounds the same
-//    quantity from outside.
+//    `Options::max_blanket_configs` (`kernels::blanket_box`, a stride
+//    walk) and take the min/max envelope; past the cap a per-factor
+//    min/max relaxation bounds the same quantity from outside.
 //  * Dobrushin-style contraction estimate: per-factor dynamic ranges
 //    D_f = max psi / min psi give contraction rates (D-1)/(D+1) and
 //    log-range caps log D (Ihler-style strength bounds). Propagating
@@ -138,12 +140,19 @@ class LoopyBP {
   [[nodiscard]] bool acyclic() const { return acyclic_; }
   /// The fixed message schedule's name ("flooding").
   [[nodiscard]] static const char* schedule() { return "flooding"; }
-  /// Wall seconds the constructor spent in message passing + bounds.
-  [[nodiscard]] double build_seconds() const { return build_seconds_; }
-  /// Scratch-arena bytes live at the run's peak.
-  [[nodiscard]] std::size_t arena_high_water_bytes() const {
-    return arena_high_water_;
+  /// Wall seconds of the propagation stage: factor-graph build, message
+  /// passing with its final residual sweep, and belief extraction.
+  [[nodiscard]] double propagation_seconds() const {
+    return propagation_seconds_;
   }
+  /// Wall seconds of the certification stage: the contraction system
+  /// plus the per-variable blanket boxes.
+  [[nodiscard]] double certification_seconds() const {
+    return certification_seconds_;
+  }
+  /// Wall seconds the constructor spent in total: exactly
+  /// propagation_seconds() + certification_seconds().
+  [[nodiscard]] double build_seconds() const { return build_seconds_; }
 
  private:
   // One directed edge pair of the factor graph: factor `factor` <->
@@ -174,8 +183,9 @@ class LoopyBP {
   std::size_t iterations_ = 0;
   double final_residual_ = 0.0;
   double max_bound_width_ = 0.0;
+  double propagation_seconds_ = 0.0;
+  double certification_seconds_ = 0.0;
   double build_seconds_ = 0.0;
-  std::size_t arena_high_water_ = 0;
 
   void build_factor_graph();
   void run_message_passing();

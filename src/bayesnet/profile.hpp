@@ -65,8 +65,9 @@ struct QueryProfile {
   double calibration_seconds = 0.0;  ///< the tree's build cost (0 when unknown)
 
   // Loopy-BP plan (empty under the other backends). Structure and
-  // convergence figures are deterministic for fixed options; only
-  // propagation_seconds is measured.
+  // convergence figures are deterministic for fixed options; only the
+  // two stage timings are measured. BP allocates from no scratch arena,
+  // so its arena_high_water_bytes reads 0.
   bool bp_cache_hit = false;
   std::string schedule;          ///< "flooding"
   std::size_t bp_iterations = 0;
@@ -74,7 +75,8 @@ struct QueryProfile {
   double bp_damping = 0.0;
   double final_residual = 0.0;   ///< last iteration's max message delta
   double bound_width = 0.0;      ///< largest certified interval width
-  double propagation_seconds = 0.0;  ///< the BP run's build cost
+  double propagation_seconds = 0.0;    ///< BP message passing (+ beliefs)
+  double certification_seconds = 0.0;  ///< BP contraction system + boxes
 
   // Measured cost.
   std::size_t arena_high_water_bytes = 0;
@@ -85,9 +87,9 @@ struct QueryProfile {
   std::vector<std::string> states;
   std::vector<double> posterior;
 
-  /// Blanks every measured figure (stage/total/calibration seconds and
-  /// the arena high-water mark), keeping the plan; the result renders
-  /// byte-identically across runs.
+  /// Blanks every measured figure (stage/total/calibration/propagation/
+  /// certification seconds and the arena high-water mark), keeping the
+  /// plan; the result renders byte-identically across runs.
   void zero_costs();
 
   /// One-line JSON, fixed key order, shortest round-trip doubles.

@@ -74,7 +74,9 @@ std::size_t fuse_dempster(const RedundantArchitecture& arch,
   const std::size_t k = arch.sensors[0].modeled_classes();
   // Frame = modeled classes plus an explicit "nothing" hypothesis.
   std::vector<std::string> names;
-  for (std::size_t c = 0; c < k; ++c) names.push_back("c" + std::to_string(c));
+  for (std::size_t c = 0; c < k; ++c) {
+    names.push_back(std::string("c").append(std::to_string(c)));
+  }
   names.push_back("none");
   const evidence::Frame frame(names);
 
@@ -157,8 +159,8 @@ BnFusion::BnFusion(const RedundantArchitecture& arch, const TrueWorld& world) {
   std::vector<std::string> output_states = truth_states;
   output_states.push_back("none");
   for (std::size_t s = 0; s < sensors_; ++s) {
-    const auto id = net_.add_variable("sensor" + std::to_string(s),
-                                      output_states);
+    const auto id = net_.add_variable(
+        std::string("sensor").append(std::to_string(s)), output_states);
     std::vector<prob::Categorical> rows;
     rows.reserve(classes_);
     for (std::size_t c = 0; c < classes_; ++c)

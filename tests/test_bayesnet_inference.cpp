@@ -33,8 +33,9 @@ bn::BayesianNetwork random_network(pr::Rng& rng, std::size_t n) {
     cards.push_back(card);
     std::vector<std::string> states;
     for (std::size_t s = 0; s < card; ++s)
-      states.push_back("s" + std::to_string(s));
-    net.add_variable("v" + std::to_string(i), std::move(states));
+      states.push_back(std::string("s").append(std::to_string(s)));
+    net.add_variable(std::string("v").append(std::to_string(i)),
+                     std::move(states));
   }
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<bn::VariableId> parents;

@@ -65,8 +65,9 @@ bn::BayesianNetwork random_network(pr::Rng& rng, Topology topo,
     std::vector<std::string> states;
     states.reserve(card);
     for (std::size_t s = 0; s < card; ++s)
-      states.push_back("s" + std::to_string(s));
-    net.add_variable("v" + std::to_string(i), std::move(states));
+      states.push_back(std::string("s").append(std::to_string(s)));
+    net.add_variable(std::string("v").append(std::to_string(i)),
+                     std::move(states));
   }
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<bn::VariableId> parents;
@@ -129,7 +130,10 @@ bn::BayesianNetwork grid_network(std::size_t w, std::size_t h) {
   bn::BayesianNetwork net;
   for (std::size_t r = 0; r < h; ++r)
     for (std::size_t c = 0; c < w; ++c)
-      net.add_variable("g" + std::to_string(r) + "_" + std::to_string(c),
+      net.add_variable(std::string("g")
+                           .append(std::to_string(r))
+                           .append("_")
+                           .append(std::to_string(c)),
                        {"0", "1"});
   for (std::size_t r = 0; r < h; ++r) {
     for (std::size_t c = 0; c < w; ++c) {
@@ -463,7 +467,7 @@ TEST(Differential, DeepEvidenceChainIsNotSpuriouslyImpossible) {
   const std::size_t n = 400;
   bn::BayesianNetwork net;
   for (std::size_t i = 0; i < n; ++i)
-    net.add_variable("x" + std::to_string(i), {"0", "1"});
+    net.add_variable(std::string("x").append(std::to_string(i)), {"0", "1"});
   net.set_cpt(0, {}, {pr::Categorical({0.5, 0.5})});
   for (bn::VariableId v = 1; v < n; ++v) {
     net.set_cpt(v, {v - 1}, {pr::Categorical({0.999, 0.001}),

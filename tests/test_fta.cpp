@@ -124,8 +124,8 @@ TEST(FaultTree, ExactMatchesBruteForceRandomized) {
     std::vector<ft::NodeId> pool;
     const std::size_t nb = 3 + rng.uniform_index(4);
     for (std::size_t i = 0; i < nb; ++i) {
-      pool.push_back(t.add_basic_event("e" + std::to_string(i),
-                                       rng.uniform(0.01, 0.5)));
+      pool.push_back(t.add_basic_event(
+          std::string("e").append(std::to_string(i)), rng.uniform(0.01, 0.5)));
     }
     const std::size_t ng = 2 + rng.uniform_index(3);
     for (std::size_t g = 0; g < ng; ++g) {
@@ -141,7 +141,8 @@ TEST(FaultTree, ExactMatchesBruteForceRandomized) {
       const auto type = rng.bernoulli(0.5) ? ft::GateType::kAnd
                                            : ft::GateType::kOr;
       pool.push_back(
-          t.add_gate("g" + std::to_string(g), type, std::move(ch)));
+          t.add_gate(std::string("g").append(std::to_string(g)),
+                     type, std::move(ch)));
     }
     t.set_top(pool.back());
     if (t.is_basic_event(pool.back())) continue;

@@ -2,7 +2,8 @@
 // (bayesnet/kernels) and the arena they allocate from are pinned against
 // an in-test copy of the legacy mixed-radix factor algebra over
 // randomized scopes (cardinalities 2-6), evidence reductions, and
-// log-space round trips. Also carries the factor-algebra bug-sweep
+// log-space round trips. The fused loopy-BP message kernel is pinned
+// against the per-edge product chain it replaced. Also carries the factor-algebra bug-sweep
 // regressions: checked table-size overflow in the Factor constructor
 // and pairwise (cascade) summation in Factor::total().
 //
@@ -218,6 +219,83 @@ void expect_factors_equal(const bn::Factor& got, const bn::Factor& want,
   }
 }
 
+// ---- fused loopy-BP message kernel reference ----
+
+// The per-edge product chain kernels::factor_messages replaced: for each
+// target position, multiply every other incoming message into the
+// factor one materialized product at a time, then marginalize onto the
+// target variable.
+std::vector<std::vector<double>> ref_factor_messages(
+    const bn::Factor& f, const std::vector<std::vector<double>>& in) {
+  std::vector<std::vector<double>> out;
+  const auto& scope = f.scope();
+  for (std::size_t p = 0; p < scope.size(); ++p) {
+    bn::Arena arena;
+    kn::View cur = kn::view_of(f);
+    for (std::size_t q = 0; q < scope.size(); ++q) {
+      if (q == p) continue;
+      const std::size_t card = in[q].size();
+      const kn::View msg{&scope[q], &card, in[q].data(), 1, card};
+      cur = kn::product(cur, msg, arena).view();
+    }
+    const kn::Table marg = kn::marginalize_keep(cur, &scope[p], 1, arena);
+    out.emplace_back(marg.values, marg.values + marg.size);
+  }
+  return out;
+}
+
+// Random factor over variables 0..rank-1 with 2..max_card states each.
+bn::Factor dense_factor(pr::Rng& rng, std::size_t rank, std::size_t max_card,
+                        bool with_zeros = false) {
+  Universe u;
+  for (std::size_t i = 0; i < rank; ++i) {
+    u.cards.push_back(2 + rng.uniform_index(max_card - 1));
+  }
+  return random_factor(rng, u, rank, with_zeros);
+}
+
+// One random incoming message per scope position; with `zero_prob`,
+// entries are exact zeros at that rate.
+std::vector<std::vector<double>> random_messages(pr::Rng& rng,
+                                                 const bn::Factor& f,
+                                                 double zero_prob = 0.0) {
+  std::vector<std::vector<double>> in;
+  for (const std::size_t card : f.cardinalities()) {
+    std::vector<double> m(card);
+    for (double& x : m) {
+      x = (zero_prob > 0.0 && rng.bernoulli(zero_prob)) ? 0.0
+                                                         : rng.uniform() + 0.05;
+    }
+    in.push_back(std::move(m));
+  }
+  return in;
+}
+
+// Runs the fused kernel and checks every message against the reference
+// to tolerance::kTiny (1e-12) relative; a zero reference entry must come
+// out exactly zero.
+void expect_fused_matches_reference(const bn::Factor& f,
+                                    const std::vector<std::vector<double>>& in) {
+  const auto want = ref_factor_messages(f, in);
+  std::vector<std::vector<double>> got;
+  std::vector<const double*> in_ptr;
+  std::vector<double*> out_ptr;
+  for (std::size_t p = 0; p < in.size(); ++p) {
+    got.emplace_back(f.cardinalities()[p], -1.0);  // must be overwritten
+    in_ptr.push_back(in[p].data());
+  }
+  for (auto& m : got) out_ptr.push_back(m.data());
+  kn::factor_messages(kn::view_of(f), in_ptr.data(), out_ptr.data());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(got[p].size(), want[p].size());
+    for (std::size_t i = 0; i < want[p].size(); ++i) {
+      EXPECT_LE(std::abs(got[p][i] - want[p][i]), tol::kTiny * want[p][i])
+          << "position " << p << " state " << i << " got " << got[p][i]
+          << " want " << want[p][i];
+    }
+  }
+}
+
 }  // namespace
 
 // ---- strided kernels vs the legacy mixed-radix algebra ----
@@ -384,6 +462,57 @@ TEST(Kernels, LogTotalSurvivesMagnitudesALinearSumCannot) {
 }
 
 // ---- scaled / linear elimination ----
+
+// ---- fused loopy-BP message kernel vs the per-edge product chain ----
+
+TEST(Kernels, FactorMessagesMatchProductChainOverRandomFactors) {
+  pr::Rng rng(differential_seed() + 9);
+  for (int round = 0; round < 200; ++round) {
+    const bn::Factor f = dense_factor(rng, 1 + rng.uniform_index(8), 4);
+    expect_fused_matches_reference(f, random_messages(rng, f));
+  }
+}
+
+TEST(Kernels, FactorMessagesMatchOnTheNoisyOr16Shape) {
+  // Rank 17, all binary: a noisy-OR child of 16 parents.
+  pr::Rng rng(differential_seed() + 10);
+  const bn::Factor f = dense_factor(rng, 17, 2);
+  ASSERT_EQ(f.size(), std::size_t{1} << 17);
+  expect_fused_matches_reference(f, random_messages(rng, f));
+}
+
+TEST(Kernels, FactorMessagesKeepExactZeros) {
+  // Zero messages and zero cells: no division anywhere, so every entry
+  // the reference zeroes stays exactly zero and the rest still match.
+  pr::Rng rng(differential_seed() + 11);
+  for (int round = 0; round < 200; ++round) {
+    const bn::Factor f =
+        dense_factor(rng, 1 + rng.uniform_index(6), 4, /*with_zeros=*/true);
+    expect_fused_matches_reference(f, random_messages(rng, f, 0.3));
+  }
+  // An all-zero incoming message zeroes every other position's message
+  // but not its own.
+  const bn::Factor f = dense_factor(rng, 3, 3);
+  auto in = random_messages(rng, f);
+  std::fill(in[1].begin(), in[1].end(), 0.0);
+  expect_fused_matches_reference(f, in);
+}
+
+TEST(Kernels, FactorMessagesOfADegreeOneFactorAreItsValues) {
+  const bn::Factor f({4}, {3}, {0.25, 0.0, 0.75});
+  const std::vector<double> in{0.5, 0.2, 0.3};  // ignored: no other position
+  std::vector<double> out(3, -1.0);
+  const double* in_ptr = in.data();
+  double* out_ptr = out.data();
+  kn::factor_messages(kn::view_of(f), &in_ptr, &out_ptr);
+  EXPECT_EQ(out, f.values());
+  expect_fused_matches_reference(f, {in});
+}
+
+TEST(Kernels, FactorMessagesRejectsAScalar) {
+  EXPECT_THROW(kn::factor_messages(kn::unit_view(), nullptr, nullptr),
+               sysuq::contracts::ContractViolation);
+}
 
 TEST(Kernels, EliminateLinearMatchesLegacyEliminateWithOrder) {
   pr::Rng rng(differential_seed() + 7);

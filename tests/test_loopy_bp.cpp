@@ -5,19 +5,25 @@
 // tolerance::kProbSum), damping / convergence / iteration-cap behavior,
 // the deterministic message schedule (byte-identical posteriors across
 // runs and engine thread counts), impossible-evidence parity with the
-// unified domain_error message, and the kAuto checked-table-size guard
+// unified domain_error message, the kAuto checked-table-size guard
 // that escalates to BP — or throws a clear ContractViolation when the
-// escalation is disabled.
+// escalation is disabled — and the stride-walk blanket enumeration,
+// pinned bit for bit against the Factor::at loop it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bayesnet/builders.hpp"
 #include "bayesnet/engine.hpp"
 #include "bayesnet/inference.hpp"
+#include "bayesnet/kernels.hpp"
 #include "bayesnet/loopy_bp.hpp"
 #include "core/contracts.hpp"
 #include "core/tolerance.hpp"
@@ -38,8 +44,9 @@ bn::BayesianNetwork random_tree(pr::Rng& rng, std::size_t n) {
     cards.push_back(card);
     std::vector<std::string> states;
     for (std::size_t s = 0; s < card; ++s)
-      states.push_back("s" + std::to_string(s));
-    net.add_variable("v" + std::to_string(i), std::move(states));
+      states.push_back(std::string("s").append(std::to_string(s)));
+    net.add_variable(std::string("v").append(std::to_string(i)),
+                     std::move(states));
   }
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<bn::VariableId> parents;
@@ -87,7 +94,10 @@ bn::BayesianNetwork grid_network(std::size_t w, std::size_t h) {
   bn::BayesianNetwork net;
   for (std::size_t r = 0; r < h; ++r)
     for (std::size_t c = 0; c < w; ++c)
-      net.add_variable("g" + std::to_string(r) + "_" + std::to_string(c),
+      net.add_variable(std::string("g")
+                           .append(std::to_string(r))
+                           .append("_")
+                           .append(std::to_string(c)),
                        {"0", "1"});
   for (std::size_t r = 0; r < h; ++r) {
     for (std::size_t c = 0; c < w; ++c) {
@@ -119,6 +129,178 @@ bn::BayesianNetwork unreachable_state_network() {
   net.set_cpt(b, {a},
               {pr::Categorical({1.0, 0.0}), pr::Categorical({1.0, 0.0})});
   return net;
+}
+
+// Noisy-OR diagnosis network: `causes` binary causes with priors, then
+// `findings` binary findings, each a noisy-OR of 1..max_fan_in distinct
+// causes with a positive leak (so every finding state stays possible).
+bn::BayesianNetwork noisy_or_network(pr::Rng& rng, std::size_t causes,
+                                     std::size_t findings,
+                                     std::size_t max_fan_in) {
+  bn::BayesianNetwork net;
+  for (std::size_t c = 0; c < causes; ++c) {
+    const auto id =
+        net.add_variable(std::string("c").append(std::to_string(c)), {"0", "1"});
+    const double prior = 0.05 + 0.3 * rng.uniform();
+    net.set_cpt(id, {}, {pr::Categorical({1.0 - prior, prior})});
+  }
+  for (std::size_t f = 0; f < findings; ++f) {
+    const auto id =
+        net.add_variable(std::string("f").append(std::to_string(f)), {"0", "1"});
+    std::vector<bn::VariableId> parents(causes);
+    for (std::size_t c = 0; c < causes; ++c) parents[c] = c;
+    const std::size_t fan_in = 1 + rng.uniform_index(max_fan_in);
+    for (std::size_t k = 0; k < fan_in; ++k) {
+      std::swap(parents[k], parents[k + rng.uniform_index(causes - k)]);
+    }
+    parents.resize(fan_in);
+    std::vector<double> links;
+    for (std::size_t k = 0; k < fan_in; ++k) {
+      links.push_back(0.2 + 0.7 * rng.uniform());
+    }
+    net.set_cpt(id, std::move(parents), bn::noisy_or_cpt(links, 0.02));
+  }
+  return net;
+}
+
+// The blanket enumeration LoopyBP's certify_bounds ran before the
+// stride walk, kept verbatim as the reference: every blanket assignment
+// in mixed-radix order (last variable fastest), each touching factor
+// read through Factor::at. Returns false when no configuration has mass.
+bool ref_blanket_box(const std::vector<const bn::Factor*>& touching,
+                     bn::VariableId v, std::size_t card,
+                     const std::vector<bn::VariableId>& blanket,
+                     const std::vector<std::size_t>& blanket_cards,
+                     std::vector<double>& lo, std::vector<double>& hi) {
+  std::size_t configs = 1;
+  for (const std::size_t c : blanket_cards) configs *= c;
+  lo.assign(card, 1.0);
+  hi.assign(card, 0.0);
+  std::vector<std::size_t> states(blanket.size(), 0);
+  std::vector<std::vector<std::size_t>> slot(touching.size());
+  std::vector<std::vector<std::size_t>> fstates(touching.size());
+  for (std::size_t t = 0; t < touching.size(); ++t) {
+    const auto& scope = touching[t]->scope();
+    fstates[t].assign(scope.size(), 0);
+    slot[t].assign(scope.size(), blanket.size());  // sentinel = v itself
+    for (std::size_t pos = 0; pos < scope.size(); ++pos) {
+      if (scope[pos] == v) continue;
+      slot[t][pos] = static_cast<std::size_t>(
+          std::lower_bound(blanket.begin(), blanket.end(), scope[pos]) -
+          blanket.begin());
+    }
+  }
+  bool any_feasible = false;
+  std::vector<double> w(card);
+  for (std::size_t c = 0; c < configs; ++c) {
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < card; ++i) {
+      double prod = 1.0;
+      for (std::size_t t = 0; t < touching.size(); ++t) {
+        const auto& scope = touching[t]->scope();
+        for (std::size_t pos = 0; pos < scope.size(); ++pos) {
+          fstates[t][pos] =
+              slot[t][pos] == blanket.size() ? i : states[slot[t][pos]];
+        }
+        prod *= touching[t]->at(fstates[t]);
+      }
+      w[i] = prod;
+      wsum += prod;
+    }
+    if (wsum > 0.0) {
+      any_feasible = true;
+      for (std::size_t i = 0; i < card; ++i) {
+        lo[i] = std::min(lo[i], w[i] / wsum);
+        hi[i] = std::max(hi[i], w[i] / wsum);
+      }
+    }
+    for (std::size_t k = blanket.size(); k-- > 0;) {
+      if (++states[k] < blanket_cards[k]) break;
+      states[k] = 0;
+    }
+  }
+  return any_feasible;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// For every unobserved variable whose blanket fits the default
+// enumeration cap: the stride-walk kernel's box must equal the
+// Factor::at reference bit for bit; on a loopy graph (no contraction
+// box) LoopyBP's reported interval must be exactly that box hulled with
+// the point. Returns the number of variables compared.
+std::size_t expect_blanket_boxes_identical(const bn::BayesianNetwork& net,
+                                           const bn::Evidence& ev) {
+  // The evidence-reduced factors, in network order, scalars dropped —
+  // LoopyBP's factor graph.
+  std::vector<bn::Factor> factors;
+  for (bn::VariableId child = 0; child < net.size(); ++child) {
+    bn::Factor f = net.cpt_factor(child);
+    for (const auto& [v, state] : ev) {
+      if (f.contains(v)) f = f.reduce(v, state);
+    }
+    if (!f.scope().empty()) factors.push_back(std::move(f));
+  }
+  const bn::LoopyBP bp(net, ev);
+  const std::size_t cap = bn::LoopyBP::Options{}.max_blanket_configs;
+  std::size_t compared = 0;
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    if (ev.contains(v)) continue;
+    std::vector<const bn::Factor*> touching;
+    std::vector<bn::kernels::View> views;
+    std::vector<bn::VariableId> blanket;
+    for (const auto& f : factors) {
+      if (!f.contains(v)) continue;
+      touching.push_back(&f);
+      views.push_back(bn::kernels::view_of(f));
+      for (const bn::VariableId u : f.scope()) {
+        if (u != v) blanket.push_back(u);
+      }
+    }
+    std::sort(blanket.begin(), blanket.end());
+    blanket.erase(std::unique(blanket.begin(), blanket.end()), blanket.end());
+    std::vector<std::size_t> blanket_cards;
+    std::size_t configs = 1;
+    for (const bn::VariableId u : blanket) {
+      blanket_cards.push_back(net.variable(u).cardinality());
+      configs *= blanket_cards.back();
+    }
+    if (configs > cap) continue;  // relaxation, not enumeration
+
+    const std::size_t card = net.variable(v).cardinality();
+    std::vector<double> want_lo, want_hi;
+    const bool want_ok = ref_blanket_box(touching, v, card, blanket,
+                                         blanket_cards, want_lo, want_hi);
+    std::vector<double> lo(card), hi(card);
+    const bool ok = bn::kernels::blanket_box(
+        views.data(), views.size(), v, blanket.data(), blanket_cards.data(),
+        blanket.size(), lo.data(), hi.data());
+    EXPECT_EQ(ok, want_ok) << "var " << v;
+    for (std::size_t i = 0; i < card; ++i) {
+      EXPECT_TRUE(same_bits(lo[i], want_lo[i]))
+          << "var " << v << " state " << i << ": " << lo[i] << " vs "
+          << want_lo[i];
+      EXPECT_TRUE(same_bits(hi[i], want_hi[i]))
+          << "var " << v << " state " << i << ": " << hi[i] << " vs "
+          << want_hi[i];
+    }
+    if (!bp.acyclic()) {
+      const auto& b = bp.query(v);
+      for (std::size_t i = 0; i < card; ++i) {
+        const double p = b.point.p(i);
+        EXPECT_TRUE(same_bits(b.lo[i], std::clamp(std::min(want_lo[i], p),
+                                                  0.0, 1.0)))
+            << "var " << v << " state " << i;
+        EXPECT_TRUE(same_bits(b.hi[i], std::clamp(std::max(want_hi[i], p),
+                                                  0.0, 1.0)))
+            << "var " << v << " state " << i;
+      }
+    }
+    ++compared;
+  }
+  return compared;
 }
 
 }  // namespace
@@ -388,6 +570,62 @@ TEST(LoopyBP, EngineExplainReportsTheBpPlan) {
   // The rendered plan and JSON name the schedule.
   EXPECT_NE(p.to_plan().find("flooding"), std::string::npos);
   EXPECT_NE(p.to_json().find("\"schedule\""), std::string::npos);
+  // Both BP stages are attributed; BP uses no scratch arena.
+  EXPECT_GT(p.propagation_seconds, 0.0);
+  EXPECT_GE(p.certification_seconds, 0.0);
+  EXPECT_NE(p.to_json().find("\"certification_seconds\""), std::string::npos);
+  EXPECT_EQ(p.arena_high_water_bytes, 0u);
+}
+
+TEST(LoopyBP, StageTimesSumToTheBuildTime) {
+  const auto net = diamond_network();
+  const bn::LoopyBP bp(net, {{4, 1}});
+  EXPECT_GT(bp.propagation_seconds(), 0.0);
+  EXPECT_GE(bp.certification_seconds(), 0.0);
+  EXPECT_EQ(bp.build_seconds(),
+            bp.propagation_seconds() + bp.certification_seconds());
+}
+
+// ---- blanket-box enumeration: stride walk vs the Factor::at loop ----
+
+TEST(LoopyBP, BlanketBoxesAreBitIdenticalOnTheDiamond) {
+  const auto net = diamond_network();
+  std::size_t compared = 0;
+  for (const bn::Evidence& ev :
+       {bn::Evidence{}, bn::Evidence{{4, 1}}, bn::Evidence{{3, 0}},
+        bn::Evidence{{0, 1}, {4, 0}}}) {
+    compared += expect_blanket_boxes_identical(net, ev);
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(LoopyBP, BlanketBoxesAreBitIdenticalOnRandomTreesWithEvidence) {
+  pr::Rng rng(20260901ULL);
+  std::size_t compared = 0;
+  for (int t = 0; t < 12; ++t) {
+    const auto net = random_tree(rng, 6 + rng.uniform_index(6));
+    bn::Evidence ev;
+    for (std::size_t k = 0; k < 1 + rng.uniform_index(3); ++k) {
+      const bn::VariableId v = rng.uniform_index(net.size());
+      ev[v] = rng.uniform_index(net.variable(v).cardinality());
+    }
+    compared += expect_blanket_boxes_identical(net, ev);
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(LoopyBP, BlanketBoxesAreBitIdenticalOnNoisyOrNets) {
+  pr::Rng rng(20260902ULL);
+  std::size_t compared = 0;
+  for (int t = 0; t < 10; ++t) {
+    const auto net = noisy_or_network(rng, 8, 6, 4);
+    bn::Evidence ev;
+    for (bn::VariableId f = 8; f < net.size(); ++f) {
+      if (rng.bernoulli(0.6)) ev[f] = rng.bernoulli(0.3) ? 1 : 0;
+    }
+    compared += expect_blanket_boxes_identical(net, ev);
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 // ---- kAuto checked-table-size guard (regression for the escalation) ----

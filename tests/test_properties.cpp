@@ -113,7 +113,8 @@ TEST_P(FtaBnProperty, CompiledNetworkMatchesExactProbability) {
   const std::size_t nb = 3 + rng.uniform_index(3);
   for (std::size_t i = 0; i < nb; ++i) {
     pool.push_back(
-        t.add_basic_event("e" + std::to_string(i), rng.uniform(0.01, 0.4)));
+        t.add_basic_event(std::string("e").append(std::to_string(i)),
+                          rng.uniform(0.01, 0.4)));
   }
   for (std::size_t g = 0; g < 3; ++g) {
     std::vector<fta::NodeId> ch;
@@ -124,7 +125,8 @@ TEST_P(FtaBnProperty, CompiledNetworkMatchesExactProbability) {
     if (ch.size() < 2) continue;
     const auto type =
         rng.bernoulli(0.5) ? fta::GateType::kAnd : fta::GateType::kOr;
-    pool.push_back(t.add_gate("g" + std::to_string(g), type, std::move(ch)));
+    pool.push_back(t.add_gate(std::string("g").append(std::to_string(g)),
+                              type, std::move(ch)));
   }
   t.set_top(pool.back());
   if (t.is_basic_event(pool.back())) GTEST_SKIP();
@@ -164,8 +166,9 @@ TEST_P(LoopyBpProperty, CertifiedIntervalContainsExactPosterior) {
       cards.push_back(card);
       std::vector<std::string> states;
       for (std::size_t s = 0; s < card; ++s)
-        states.push_back("s" + std::to_string(s));
-      net.add_variable("v" + std::to_string(i), std::move(states));
+        states.push_back(std::string("s").append(std::to_string(s)));
+      net.add_variable(std::string("v").append(std::to_string(i)),
+                       std::move(states));
     }
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<bayesnet::VariableId> parents;
@@ -288,7 +291,9 @@ TEST_P(DtmcProperty, SimulationMatchesBoundedReachability) {
   prob::Rng rng(GetParam());
   // Random 5-state chain with one absorbing target.
   markov::Dtmc c;
-  for (int s = 0; s < 5; ++s) (void)c.add_state("s" + std::to_string(s));
+  for (int s = 0; s < 5; ++s) {
+    (void)c.add_state(std::string("s").append(std::to_string(s)));
+  }
   for (markov::StateId s = 0; s < 4; ++s) {
     std::vector<double> w(5);
     for (auto& v : w) v = rng.uniform() + 0.05;
@@ -376,8 +381,9 @@ TEST_P(DftStaticProperty, DynamicEngineMatchesStaticOnStaticTrees) {
   fta::FaultTree st;
   std::vector<fta::NodeId> sev;
   for (std::size_t i = 0; i < 4; ++i) {
-    sev.push_back(st.add_basic_event("e" + std::to_string(i),
-                                     1.0 - std::exp(-lambdas[i] * t)));
+    sev.push_back(st.add_basic_event(
+        std::string("e").append(std::to_string(i)),
+        1.0 - std::exp(-lambdas[i] * t)));
   }
   const auto sl = st.add_gate(
       "left", left_is_and ? fta::GateType::kAnd : fta::GateType::kOr,
@@ -389,7 +395,8 @@ TEST_P(DftStaticProperty, DynamicEngineMatchesStaticOnStaticTrees) {
   fta::DynamicFaultTree dy;
   std::vector<fta::DynamicFaultTree::NodeId> dev;
   for (std::size_t i = 0; i < 4; ++i) {
-    dev.push_back(dy.add_basic_event("e" + std::to_string(i), lambdas[i]));
+    dev.push_back(dy.add_basic_event(std::string("e").append(std::to_string(i)),
+                                     lambdas[i]));
   }
   const auto dl = dy.add_gate(
       "left", left_is_and ? fta::DynGateType::kAnd : fta::DynGateType::kOr,

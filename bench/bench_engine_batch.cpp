@@ -11,7 +11,9 @@
 //   BENCH {"bench":"engine_batch", ...}
 // with queries/sec for the seed loop, the 1-thread engine and the
 // 4-thread engine, the resulting speedups, the ordering-cache hit rate,
-// and whether pooled results were byte-identical to sequential ones.
+// whether pooled results were byte-identical to sequential ones, and
+// the all-marginals figures: VE vs junction tree on one assignment, and
+// the junction tree cold over many assignments (qps_allmarg_jt_cold).
 //
 // With `--manifest out.json`, also writes a run manifest: the workload
 // parameters plus a full snapshot of the obs metrics registry (so the
@@ -28,6 +30,7 @@
 #include "bayesnet/engine.hpp"
 #include "core/tolerance.hpp"
 #include "bayesnet/inference.hpp"
+#include "bayesnet/junction_tree.hpp"
 #include "obs/registry.hpp"
 #include "perception/table1.hpp"
 
@@ -264,6 +267,49 @@ int main(int argc, char** argv) {
   }
   const double jt_speedup = am_ve_s / am_jt_s;
 
+  // --- cold all-marginals: many distinct assignments over few key sets ---
+  // Every request misses the calibrated-tree cache, the way a diagnosis
+  // campaign over fixed sensors sees new readings. The engine builds one
+  // junction-tree structure per key set and calibrates each assignment
+  // on it; a fresh engine per rep pays its structures again. Reported,
+  // not gated.
+  const std::vector<std::vector<bayesnet::VariableId>> cold_keys{
+      {leaf}, {leaf - 20, leaf}, {10, leaf - 10}};
+  std::vector<bayesnet::Evidence> cold;
+  std::size_t cold_queries = 0;
+  for (const auto& keys : cold_keys) {
+    std::size_t combos = 1;
+    for (const auto k : keys) combos *= net.variable(k).cardinality();
+    for (std::size_t code = 0; code < combos; ++code) {
+      bayesnet::Evidence e;
+      std::size_t rest = code;
+      for (const auto k : keys) {
+        e[k] = rest % net.variable(k).cardinality();
+        rest /= net.variable(k).cardinality();
+      }
+      cold_queries += net.size() - e.size();
+      cold.push_back(std::move(e));
+    }
+  }
+  std::vector<std::vector<prob::Categorical>> cold_out;
+  double cold_s = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    bayesnet::InferenceEngine eng(
+        net, {.threads = 1, .backend = bayesnet::Backend::kJunctionTree});
+    cold_out.clear();
+    const auto t0 = Clock::now();
+    for (const auto& e : cold) cold_out.push_back(eng.all_marginals(e));
+    cold_s = std::min(cold_s, seconds_since(t0));
+  }
+  // Shared-structure trees must equal standalone ones bit for bit.
+  bool cold_identical = true;
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    const bayesnet::JunctionTree fresh(net, cold[i]);
+    const auto& want = fresh.all_marginals();
+    for (std::size_t v = 0; v < want.size(); ++v)
+      cold_identical = cold_identical && want[v].probs() == cold_out[i][v].probs();
+  }
+
   // --- correctness: byte-identical across thread counts, exact vs VE ---
   bool byte_identical = r1.size() == r4.size();
   double max_abs_vs_ve = 0.0;
@@ -305,6 +351,14 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %10.0f queries/s  (%.2fx, needs >= 2x)\n",
               "junction-tree backend", am_qps_jt, jt_speedup);
   std::printf("  max |JT - VE| posterior gap: %.2e\n", jt_max_abs);
+  const double am_qps_jt_cold = cold_queries / cold_s;
+  std::printf("\ncold all-marginals (%zu distinct assignments over %zu key "
+              "sets, every request a tree-cache miss):\n",
+              cold.size(), cold_keys.size());
+  std::printf("  %-28s %10.0f queries/s\n", "junction-tree backend",
+              am_qps_jt_cold);
+  std::printf("  identical to standalone trees: %s\n",
+              cold_identical ? "yes" : "NO");
 
   std::printf(
       "BENCH {\"bench\":\"engine_batch\",\"variables\":%zu,\"batch\":%zu,"
@@ -312,11 +366,12 @@ int main(int argc, char** argv) {
       "\"qps_engine_4t\":%.1f,\"speedup_1t\":%.2f,\"speedup_4t\":%.2f,"
       "\"cache_hit_rate\":%.4f,\"cache_entries\":%zu,\"byte_identical\":%s,"
       "\"max_abs_err\":%.3e,\"allmarg_queries\":%zu,\"qps_allmarg_ve\":%.1f,"
-      "\"qps_allmarg_jt\":%.1f,\"jt_speedup\":%.2f,\"jt_max_abs_err\":%.3e}\n",
+      "\"qps_allmarg_jt\":%.1f,\"jt_speedup\":%.2f,\"jt_max_abs_err\":%.3e,"
+      "\"qps_allmarg_jt_cold\":%.1f}\n",
       net.size(), kBatch, qps_seed, qps_ve, qps1, qps4, qps1 / qps_seed,
       qps4 / qps_seed, stats.hit_rate(), stats.entries,
       byte_identical ? "true" : "false", max_abs_vs_ve, am_batch.size(),
-      am_qps_ve, am_qps_jt, jt_speedup, jt_max_abs);
+      am_qps_ve, am_qps_jt, jt_speedup, jt_max_abs, am_qps_jt_cold);
 
   if (!manifest_path.empty()) {
     // BENCH_engine_batch.json: the tracked perf-trajectory manifest
@@ -336,10 +391,12 @@ int main(int argc, char** argv) {
         "{\"qps_seed\":%.1f,\"qps_ve\":%.1f,\"qps_engine_1t\":%.1f,"
         "\"qps_engine_4t\":%.1f,\"speedup_1t\":%.2f,\"speedup_4t\":%.2f,"
         "\"qps_allmarg_ve\":%.1f,\"qps_allmarg_jt\":%.1f,\"jt_speedup\":%.2f,"
+        "\"qps_allmarg_jt_cold\":%.1f,"
         "\"byte_identical\":%s,\"max_abs_err\":%.3e,\"jt_max_abs_err\":%.3e,"
         "\"cache_hit_rate\":%.4f,\"cache_entries\":%zu}",
         qps_seed, qps_ve, qps1, qps4, qps1 / qps_seed, qps4 / qps_seed,
-        am_qps_ve, am_qps_jt, jt_speedup, byte_identical ? "true" : "false",
+        am_qps_ve, am_qps_jt, jt_speedup, am_qps_jt_cold,
+        byte_identical ? "true" : "false",
         max_abs_vs_ve, jt_max_abs, stats.hit_rate(), stats.entries);
     out << "{\"bench\":\"engine_batch\",\"schema\":1"
         << ",\"workload\":{\"variables\":" << net.size()
@@ -351,9 +408,11 @@ int main(int argc, char** argv) {
   }
 
   // The junction tree must beat per-query elimination by >= 2x on the
-  // all-marginals workload while staying within exact-inference tolerance.
+  // all-marginals workload while staying within exact-inference
+  // tolerance, and shared-structure trees must match standalone ones.
   return byte_identical && max_abs_vs_ve < sysuq::tolerance::kProbSum &&
-                 jt_max_abs < sysuq::tolerance::kProbSum && jt_speedup >= 2.0
+                 jt_max_abs < sysuq::tolerance::kProbSum && jt_speedup >= 2.0 &&
+                 cold_identical
              ? 0
              : 1;
 }

@@ -72,6 +72,14 @@ struct EngineMetrics {
   }
 };
 
+// The sorted evidence keys (an Evidence map iterates in key order).
+std::vector<VariableId> keys_of(const Evidence& evidence) {
+  std::vector<VariableId> keys;
+  keys.reserve(evidence.size());
+  for (const auto& [v, _] : evidence) keys.push_back(v);
+  return keys;
+}
+
 }  // namespace
 
 // A fixed pool of background workers plus the calling thread. `run` hands
@@ -192,14 +200,10 @@ InferenceEngine::InferenceEngine(const BayesianNetwork& net)
 
 InferenceEngine::InferenceEngine(const BayesianNetwork& net, Options options)
     : net_(net), options_(options) {
-  net_.validate();
+  cpt_factors_ = net_.cpt_factors();  // validates the network first
   threads_ = options_.threads != 0
                  ? options_.threads
                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  cpt_factors_.reserve(net_.size());
-  for (VariableId v = 0; v < net_.size(); ++v) {
-    cpt_factors_.push_back(net_.cpt_factor(v));
-  }
   if (threads_ > 1) pool_ = std::make_unique<Pool>(threads_ - 1);
 }
 
@@ -207,11 +211,10 @@ InferenceEngine::~InferenceEngine() = default;
 
 std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
     const Evidence& evidence) const {
-  OrderingKey key;
-  key.reserve(evidence.size());
-  for (const auto& [v, _] : evidence) key.push_back(v);  // map: sorted
+  OrderingKey key = keys_of(evidence);
 
   auto& metrics = EngineMetrics::instance();
+  std::shared_ptr<const EliminationOrdering> ordering;
   {
     std::lock_guard<std::mutex> lk(cache_mu_);
     if (const auto it = cache_.find(key); it != cache_.end()) {
@@ -219,20 +222,61 @@ std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
       metrics.cache_hits.inc();
       return it->second;
     }
+    ordering = known_ordering(key);
   }
-  // Miss. The ordering heuristics walk the whole moral graph — far too
-  // slow to run under cache_mu_, where a cold cache would serialize
-  // every concurrent query. Compute unlocked; on a race the first
-  // insert wins and the duplicate ordering is dropped (both threads
-  // ran the same deterministic heuristic, so the results are equal).
-  auto ordering = std::make_shared<const EliminationOrdering>(
-      compute_elimination_order(net_, /*keep=*/{}, key, options_.heuristic));
+  // Miss, counted even when another path (the kAuto guard, a junction
+  // tree) already ran the heuristic for these keys: its ordering is
+  // adopted as is. Otherwise compute it — the heuristics walk the whole
+  // moral graph, far too slow to run under cache_mu_, where a cold cache
+  // would serialize every concurrent query. On a race the first insert
+  // wins and the duplicate ordering is dropped (both threads ran the
+  // same deterministic heuristic, so the results are equal).
+  if (!ordering) {
+    ordering = compute_ordering(key);
+  }
   std::lock_guard<std::mutex> lk(cache_mu_);
   ++cache_misses_;
   metrics.cache_misses.inc();
   const auto [it, inserted] = cache_.emplace(std::move(key), std::move(ordering));
   metrics.cache_entries.set(static_cast<double>(cache_.size()));
   return it->second;
+}
+
+std::shared_ptr<const EliminationOrdering> InferenceEngine::compute_ordering(
+    const OrderingKey& key) const {
+  return std::make_shared<const EliminationOrdering>(
+      compute_elimination_order(net_, /*keep=*/{}, key, options_.heuristic));
+}
+
+std::shared_ptr<const EliminationOrdering> InferenceEngine::known_ordering(
+    const OrderingKey& key) const {
+  if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
+  if (const auto it = plan_cells_.find(key); it != plan_cells_.end())
+    return it->second.ordering;
+  if (const auto it = jt_structures_.find(key); it != jt_structures_.end())
+    return it->second->ordering;
+  return nullptr;
+}
+
+std::shared_ptr<const JunctionTree::Structure> InferenceEngine::structure_for(
+    const Evidence& evidence) const {
+  OrderingKey key = keys_of(evidence);
+  std::shared_ptr<const EliminationOrdering> ordering;
+  {
+    std::lock_guard<std::mutex> lk(cache_mu_);
+    if (const auto it = jt_structures_.find(key); it != jt_structures_.end())
+      return it->second;
+    ordering = known_ordering(key);
+  }
+  // Built outside the lock like the other caches; a racing builder makes
+  // an identical structure (deterministic), and the first insert wins.
+  if (!ordering) {
+    ordering = compute_ordering(key);
+  }
+  auto structure = JunctionTree::Structure::build(net_, key, std::move(ordering));
+  std::lock_guard<std::mutex> lk(cache_mu_);
+  return jt_structures_.emplace(std::move(key), std::move(structure))
+      .first->second;
 }
 
 kernels::ScaledFactor InferenceEngine::eliminate_all_but(
@@ -287,9 +331,11 @@ std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
   }
   // Calibrated outside the lock so concurrent batch groups build in
   // parallel; a racing builder produces an identical tree (construction
-  // is deterministic), so first-insert-wins is harmless.
-  auto tree =
-      std::make_shared<const JunctionTree>(net_, evidence, options_.heuristic);
+  // is deterministic), so first-insert-wins is harmless. Only the
+  // numeric calibration runs per assignment: the structure is shared
+  // per key set and the CPT factors are the engine's own.
+  auto tree = std::make_shared<const JunctionTree>(
+      net_, evidence, structure_for(evidence), cpt_factors_);
   std::lock_guard<std::mutex> lk(cache_mu_);
   const auto it = jt_cache_.emplace(std::move(key), std::move(tree)).first;
   metrics.jt_cache_entries.set(static_cast<double>(jt_cache_.size()));
@@ -315,11 +361,13 @@ std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
   // oscillates under the configured damping gets one deterministic
   // retry at damping 0.5 — the standard fix for flooding-schedule
   // limit cycles — and the converged run is kept.
-  auto bp = std::make_shared<const LoopyBP>(net_, evidence, options_.bp);
+  auto bp =
+      std::make_shared<const LoopyBP>(net_, evidence, options_.bp, cpt_factors_);
   if (!bp->converged() && options_.bp.damping < 0.5) {
     LoopyBP::Options damped = options_.bp;
     damped.damping = 0.5;
-    auto retry = std::make_shared<const LoopyBP>(net_, evidence, damped);
+    auto retry =
+        std::make_shared<const LoopyBP>(net_, evidence, damped, cpt_factors_);
     if (retry->converged()) bp = std::move(retry);
   }
   std::lock_guard<std::mutex> lk(cache_mu_);
@@ -330,35 +378,31 @@ std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
 
 std::size_t InferenceEngine::exact_plan_max_cells(
     const Evidence& evidence) const {
-  OrderingKey key;
-  key.reserve(evidence.size());
-  for (const auto& [v, _] : evidence) key.push_back(v);  // map: sorted
-  std::shared_ptr<const EliminationOrdering> cached;
+  OrderingKey key = keys_of(evidence);
+  std::shared_ptr<const EliminationOrdering> ordering;
   {
     std::lock_guard<std::mutex> lk(cache_mu_);
     if (const auto it = plan_cells_.find(key); it != plan_cells_.end())
-      return it->second;
-    if (const auto it = cache_.find(key); it != cache_.end())
-      cached = it->second;
+      return it->second.max_cells;
+    ordering = known_ordering(key);
   }
   // One symbolic replay of the full-elimination plan per evidence-keys
-  // signature. Stats-invisible by design: an already-cached ordering is
-  // read without counting, and a cold signature runs the heuristic
-  // privately without inserting — the guard is a pre-flight check, and
-  // the documented ordering-cache accounting stays owned by the query
-  // paths alone.
-  EliminationOrdering local;
-  const EliminationOrdering* ordering = cached.get();
-  if (ordering == nullptr) {
-    local = compute_elimination_order(net_, /*keep=*/{}, key,
-                                      options_.heuristic);
-    ordering = &local;
+  // signature. Stats-invisible by design: a known ordering is read
+  // without counting, and a cold signature runs the heuristic into this
+  // memo rather than the ordering cache — the guard is a pre-flight
+  // check, and the documented ordering-cache accounting stays owned by
+  // the query paths alone (ordering_for still counts its miss, then
+  // adopts this ordering instead of recomputing it).
+  if (!ordering) {
+    ordering = compute_ordering(key);
   }
   const auto steps = simulate_elimination(net_, evidence, ordering->order, {});
   std::size_t max_cells = 0;
   for (const auto& step : steps) max_cells = std::max(max_cells, step.table_cells);
   std::lock_guard<std::mutex> lk(cache_mu_);
-  return plan_cells_.emplace(std::move(key), max_cells).first->second;
+  return plan_cells_
+      .emplace(std::move(key), PlanCells{max_cells, std::move(ordering)})
+      .first->second.max_cells;
 }
 
 bool InferenceEngine::auto_escalates_to_bp(const Evidence& evidence) const {
@@ -652,9 +696,7 @@ std::vector<prob::Categorical> InferenceEngine::sample_batch(
 }
 
 bool InferenceEngine::ordering_cached(const Evidence& evidence) const {
-  OrderingKey key;
-  key.reserve(evidence.size());
-  for (const auto& [v, _] : evidence) key.push_back(v);  // map: sorted
+  const OrderingKey key = keys_of(evidence);
   std::lock_guard<std::mutex> lk(cache_mu_);
   return cache_.find(key) != cache_.end();
 }
@@ -818,6 +860,7 @@ void InferenceEngine::clear_cache() {
   cache_.clear();
   cache_hits_ = 0;
   cache_misses_ = 0;
+  jt_structures_.clear();
   jt_cache_.clear();
   jt_cache_hits_ = 0;
   jt_cache_misses_ = 0;

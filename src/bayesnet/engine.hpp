@@ -8,12 +8,17 @@
 // identical error semantics, plus
 //  * CPT factors are materialized once at construction instead of per
 //    query;
-//  * elimination orderings (min-fill by default) are cached by the set of
-//    evidence *keys* — repeated queries that observe the same variables
-//    (with any values and any query variable) reuse the plan;
+//  * what depends only on the evidence *keys* is cached by them: the
+//    elimination ordering (min-fill by default; computed once per key
+//    set, whichever path meets the set first) and the junction tree's
+//    structure (cliques, spanning tree, home cliques) — repeated queries
+//    that observe the same variables, with any values and any query
+//    variable, reuse both;
 //  * calibrated junction trees are cached by the full evidence
-//    *assignment* (keys and values): an all-marginals workload pays one
-//    message pass instead of one elimination per query. The `Backend`
+//    *assignment* (keys and values) and share their key set's
+//    structure: an all-marginals workload pays one message pass instead
+//    of one elimination per query, and a new assignment over known keys
+//    pays only the numeric calibration. The `Backend`
 //    option selects the strategy; `kAuto` (default) keeps single queries
 //    on VE and switches a batch group to the junction tree once it has
 //    `jt_batch_threshold` distinct query variables under one evidence
@@ -27,10 +32,10 @@
 //    posteriors regardless of scheduling.
 //
 // Thread safety: all query methods are const and safe to call from
-// multiple threads concurrently; the ordering and junction-tree caches
-// are internally locked. The engine holds a reference to the network —
-// the network must outlive the engine and must not be mutated while
-// queries run.
+// multiple threads concurrently; every cache (orderings, junction-tree
+// structures, calibrated trees, BP runs) is internally locked. The
+// engine holds a reference to the network — the network must outlive
+// the engine and must not be mutated while queries run.
 #pragma once
 
 #include <cstddef>
@@ -227,6 +232,9 @@ class InferenceEngine {
   mutable std::map<OrderingKey, std::shared_ptr<const EliminationOrdering>> cache_;
   mutable std::size_t cache_hits_ = 0;      // sysuq-guarded-by(cache_mu_)
   mutable std::size_t cache_misses_ = 0;    // sysuq-guarded-by(cache_mu_)
+  // Junction-tree structures by evidence-keys signature, shared by every
+  // calibrated tree over those keys.  sysuq-guarded-by(cache_mu_)
+  mutable std::map<OrderingKey, std::shared_ptr<const JunctionTree::Structure>> jt_structures_;
   // sysuq-guarded-by(cache_mu_)
   mutable std::map<TreeKey, std::shared_ptr<const JunctionTree>> jt_cache_;
   mutable std::size_t jt_cache_hits_ = 0;   // sysuq-guarded-by(cache_mu_)
@@ -235,10 +243,16 @@ class InferenceEngine {
   mutable std::map<TreeKey, std::shared_ptr<const LoopyBP>> bp_cache_;
   mutable std::size_t bp_cache_hits_ = 0;   // sysuq-guarded-by(cache_mu_)
   mutable std::size_t bp_cache_misses_ = 0; // sysuq-guarded-by(cache_mu_)
-  // kAuto feasibility guard memo: largest simulated elimination table
-  // (cells) per evidence-keys signature — one symbolic replay per
-  // signature, not per query.  sysuq-guarded-by(cache_mu_)
-  mutable std::map<OrderingKey, std::size_t> plan_cells_;
+  // kAuto feasibility guard memo per evidence-keys signature: the
+  // largest simulated elimination table (cells) — one symbolic replay
+  // per signature, not per query — and the ordering replayed, which the
+  // ordering cache's miss path then adopts instead of recomputing.
+  struct PlanCells {
+    std::size_t max_cells = 0;
+    std::shared_ptr<const EliminationOrdering> ordering;
+  };
+  // sysuq-guarded-by(cache_mu_)
+  mutable std::map<OrderingKey, PlanCells> plan_cells_;
   // Arena bytes live at the peak of the most recent VE elimination on
   // any thread (captured before the final arena reset). Relaxed: a
   // diagnostic figure for explain(), not synchronization.
@@ -247,6 +261,20 @@ class InferenceEngine {
   // Takes cache_mu_ itself; calling it with the lock held self-deadlocks.
   // sysuq-excludes(cache_mu_)
   [[nodiscard]] std::shared_ptr<const EliminationOrdering> ordering_for(
+      const Evidence& evidence) const;
+  /// Runs the configured heuristic for `key` (no caching, no lock).
+  [[nodiscard]] std::shared_ptr<const EliminationOrdering> compute_ordering(
+      const OrderingKey& key) const;
+  /// An ordering already computed for `key` by any path (ordering cache,
+  /// kAuto guard memo, junction-tree structures), or null. Records no
+  /// cache stats.
+  // sysuq-requires(cache_mu_)
+  [[nodiscard]] std::shared_ptr<const EliminationOrdering> known_ordering(
+      const OrderingKey& key) const;
+  /// The junction-tree structure for `evidence`'s keys, built on a miss
+  /// and memoized (stats-invisible: the tree cache counts the miss).
+  // sysuq-excludes(cache_mu_)
+  [[nodiscard]] std::shared_ptr<const JunctionTree::Structure> structure_for(
       const Evidence& evidence) const;
   /// Scaled elimination over views of the cached CPT factors (no
   /// per-query deep copies); evidence reductions and all intermediates

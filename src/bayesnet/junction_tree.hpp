@@ -10,15 +10,20 @@
 // — fta::diagnose_top_event, evidential networks, perception::BnFusion —
 // which issue many queries against the same network and evidence.
 //
-// Construction pipeline (all reusing bayesnet/ordering):
+// Construction pipeline (all reusing bayesnet/ordering). Steps 1–3 and
+// the home cliques depend only on the network and the evidence *keys*,
+// so they form a `JunctionTree::Structure` built once per key set and
+// shared; steps 4–5 run once per evidence assignment:
 //  1. moralize + triangulate: `compute_elimination_order` (min-fill by
 //     default) over the moral graph with evidence vertices deleted;
 //  2. elimination cliques via `elimination_cliques`, pruned to maximal
 //     cliques (running-intersection property holds by chordality);
 //  3. clique tree: deterministic maximum-weight spanning tree over
-//     separator cardinalities (Jensen's theorem gives the RIP);
+//     separator cardinalities (Jensen's theorem gives the RIP), by an
+//     O(m²) Prim over the m cliques; each CPT's home is the first clique
+//     covering its evidence-reduced scope;
 //  4. evidence absorption: every CPT factor is reduced by the evidence
-//     and assigned to the first clique covering its scope;
+//     and multiplied into its home clique;
 //  5. calibration: sum-product collect toward the root, then distribute.
 //     Messages are normalized as they flow and the log-normalizers are
 //     accumulated, so P(e) is available in log space without underflow.
@@ -31,10 +36,12 @@
 // Thread safety: all accessors are const and safe to call concurrently
 // once the constructor returns (marginals are extracted eagerly). The
 // tree holds a reference to the network — the network must outlive the
-// tree and must not be mutated while it is in use.
+// tree and must not be mutated while it is in use. A Structure is
+// immutable and may be shared across threads.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "bayesnet/network.hpp"
@@ -45,12 +52,57 @@ namespace sysuq::bayesnet {
 
 class JunctionTree {
  public:
+  /// Sentinel for "no clique": the root's parent, an observed
+  /// variable's home.
+  static constexpr std::size_t kNoClique = static_cast<std::size_t>(-1);
+
+  /// Everything about a clique tree that depends only on the network
+  /// and the sorted evidence keys (steps 1–3 of the pipeline). Trees
+  /// calibrated under any assignment of those keys share one instance.
+  struct Structure {
+    std::vector<VariableId> evidence_keys;  ///< sorted
+    /// The elimination ordering the triangulation follows.
+    std::shared_ptr<const EliminationOrdering> ordering;
+    /// Maximal cliques of the triangulation, sorted scopes.
+    std::vector<std::vector<VariableId>> cliques;
+    std::size_t max_clique_size = 0;
+    /// Spanning-tree parent per clique (kNoClique for the root, 0).
+    std::vector<std::size_t> parent;
+    /// Prim insertion order: the root first, parents before children.
+    std::vector<std::size_t> order;
+    std::vector<std::vector<std::size_t>> children;
+    /// cliques[c] ∩ cliques[parent[c]] (empty for the root).
+    std::vector<std::vector<VariableId>> separators;
+    /// Clique absorbing each variable's CPT: the first one covering the
+    /// CPT's scope minus the evidence keys.
+    std::vector<std::size_t> cpt_home;
+    /// First clique containing each variable (kNoClique if observed).
+    std::vector<std::size_t> variable_home;
+
+    /// Triangulates `net` with `evidence_keys` (sorted, unique) deleted,
+    /// eliminating in `ordering` — `compute_elimination_order(net, {},
+    /// evidence_keys, h)` for the heuristic h of the caller's choice.
+    /// Throws std::out_of_range for unknown evidence ids.
+    [[nodiscard]] static std::shared_ptr<const Structure> build(
+        const BayesianNetwork& net, std::vector<VariableId> evidence_keys,
+        std::shared_ptr<const EliminationOrdering> ordering);
+  };
+
   /// Builds the clique tree for `net` and calibrates it under `evidence`.
   /// Throws std::out_of_range for unknown evidence ids; evidence with
   /// probability zero is absorbed silently here and surfaces as
   /// std::domain_error from the marginal accessors.
   explicit JunctionTree(const BayesianNetwork& net, const Evidence& evidence = {},
                         OrderingHeuristic heuristic = OrderingHeuristic::kMinFill);
+
+  /// Calibrates a prebuilt `structure` under `evidence`, whose keys must
+  /// be the structure's evidence keys. `cpt_factors[v]` must equal
+  /// `net.cpt_factor(v)`; they are only read during construction. The
+  /// result is bit-identical to `JunctionTree(net, evidence, h)` when the
+  /// structure was built from h's ordering.
+  JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
+               std::shared_ptr<const Structure> structure,
+               const std::vector<Factor>& cpt_factors);
 
   [[nodiscard]] const BayesianNetwork& network() const { return net_; }
   [[nodiscard]] const Evidence& evidence() const { return evidence_; }
@@ -74,12 +126,19 @@ class JunctionTree {
 
   /// Maximal cliques of the triangulation, sorted scopes, tree order.
   [[nodiscard]] const std::vector<std::vector<VariableId>>& cliques() const {
-    return cliques_;
+    return structure_->cliques;
   }
-  [[nodiscard]] std::size_t clique_count() const { return cliques_.size(); }
+  [[nodiscard]] std::size_t clique_count() const {
+    return structure_->cliques.size();
+  }
   /// Variables in the largest clique (treewidth + 1 of the triangulation).
-  [[nodiscard]] std::size_t max_clique_size() const { return max_clique_size_; }
-  /// Wall seconds the constructor spent calibrating this tree. Measured
+  [[nodiscard]] std::size_t max_clique_size() const {
+    return structure_->max_clique_size;
+  }
+  /// The shared key-set structure this tree was calibrated over.
+  [[nodiscard]] const Structure& structure() const { return *structure_; }
+  /// Wall seconds spent calibrating this tree (steps 4–5; the structure
+  /// is built, and timed, before). Measured
   /// directly (not via obs), so `InferenceEngine::explain` can attribute
   /// calibration cost in every build mode.
   [[nodiscard]] double build_seconds() const { return build_seconds_; }
@@ -92,15 +151,14 @@ class JunctionTree {
  private:
   const BayesianNetwork& net_;
   Evidence evidence_;
-  std::vector<std::vector<VariableId>> cliques_;
+  std::shared_ptr<const Structure> structure_;
   std::vector<prob::Categorical> marginals_;  // one per variable
-  std::size_t max_clique_size_ = 0;
   double log_evidence_ = 0.0;
   bool impossible_ = false;
   double build_seconds_ = 0.0;
   std::size_t arena_high_water_ = 0;
 
-  void calibrate(OrderingHeuristic heuristic);
+  void calibrate(const std::vector<Factor>& cpt_factors);
   [[noreturn]] void throw_impossible() const;
 };
 

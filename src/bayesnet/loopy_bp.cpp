@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -114,6 +115,10 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence)
 
 LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
                  Options options)
+    : LoopyBP(net, evidence, options, net.cpt_factors()) {}
+
+LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
+                 Options options, const std::vector<Factor>& cpt_factors)
     : net_(net), evidence_(evidence), options_(options) {
   SYSUQ_EXPECT(options_.max_iterations >= 1,
                "LoopyBP: max_iterations must be >= 1");
@@ -123,6 +128,8 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
   SYSUQ_EXPECT(options_.max_blanket_configs >= 1,
                "LoopyBP: max_blanket_configs must be >= 1");
   net_.validate();
+  SYSUQ_EXPECT(cpt_factors.size() == net_.size(),
+               "LoopyBP: one CPT factor per variable");
   for (const auto& [v, state] : evidence_) {
     if (v >= net_.size())
       throw std::out_of_range("LoopyBP: evidence variable id");
@@ -133,7 +140,7 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
   const obs::Span span("bayesnet.bp.run");
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  build_factor_graph();
+  build_factor_graph(cpt_factors);
   if (!impossible_) run_message_passing();
   if (!impossible_) extract_marginals();
   const auto t1 = clock::now();
@@ -151,21 +158,29 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
   metrics.bound_width.observe(max_bound_width_);
 }
 
-void LoopyBP::build_factor_graph() {
+void LoopyBP::build_factor_graph(const std::vector<Factor>& cpt_factors) {
   edges_of_var_.assign(net_.size(), {});
   factors_.reserve(net_.size());
   for (VariableId child = 0; child < net_.size(); ++child) {
-    Factor f = net_.cpt_factor(child);
+    // Reduced straight off the shared factor: only a family without
+    // evidence is copied whole.
+    std::optional<Factor> reduced;
     for (const auto& [ev, state] : evidence_) {
-      if (f.contains(ev)) f = f.reduce(ev, state);
+      const Factor& cur = reduced ? *reduced : cpt_factors[child];
+      if (cur.contains(ev)) reduced = cur.reduce(ev, state);
     }
+    const Factor& f = reduced ? *reduced : cpt_factors[child];
     if (f.scope().empty()) {
       // Fully observed family: a constant multiplying P(e). Zero means
       // the evidence directly contradicts this CPT.
       if (f.values().empty() || f.values().front() <= 0.0) impossible_ = true;
       continue;
     }
-    factors_.push_back(std::move(f));
+    if (reduced) {
+      factors_.push_back(std::move(*reduced));
+    } else {
+      factors_.push_back(f);
+    }
   }
 
   // Edges in factor-index then scope-position order — this IS the

@@ -111,6 +111,11 @@ class LoopyBP {
   explicit LoopyBP(const BayesianNetwork& net, const Evidence& evidence = {});
   LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
           Options options);
+  /// The same run over prebuilt CPT factors: `cpt_factors[v]` must equal
+  /// `net.cpt_factor(v)` (an engine passes the factors it built once).
+  /// They are only read during construction.
+  LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
+          Options options, const std::vector<Factor>& cpt_factors);
 
   [[nodiscard]] const BayesianNetwork& network() const { return net_; }
   [[nodiscard]] const Evidence& evidence() const { return evidence_; }
@@ -187,7 +192,7 @@ class LoopyBP {
   double certification_seconds_ = 0.0;
   double build_seconds_ = 0.0;
 
-  void build_factor_graph();
+  void build_factor_graph(const std::vector<Factor>& cpt_factors);
   void run_message_passing();
   void extract_marginals();
   void certify_bounds();

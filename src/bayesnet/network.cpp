@@ -175,6 +175,14 @@ Factor BayesianNetwork::cpt_factor(VariableId child) const {
   return Factor(std::move(sorted), std::move(sorted_cards), std::move(values));
 }
 
+std::vector<Factor> BayesianNetwork::cpt_factors() const {
+  validate();
+  std::vector<Factor> out;
+  out.reserve(size());
+  for (VariableId v = 0; v < size(); ++v) out.push_back(cpt_factor(v));
+  return out;
+}
+
 void BayesianNetwork::validate() const {
   SYSUQ_EXPECT(!nodes_.empty(), "BayesianNetwork::validate: empty network");
   for (const auto& n : nodes_) {

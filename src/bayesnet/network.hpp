@@ -69,6 +69,9 @@ class BayesianNetwork {
   /// The CPT of `child` as a factor over {parents, child}.
   [[nodiscard]] Factor cpt_factor(VariableId child) const;
 
+  /// Every CPT as a factor, indexed by VariableId; validates first.
+  [[nodiscard]] std::vector<Factor> cpt_factors() const;
+
   /// Throws std::logic_error unless every variable has a CPT and the
   /// graph is acyclic.
   void validate() const;

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -21,6 +25,7 @@
 #include "perception/fusion.hpp"
 #include "perception/table1.hpp"
 #include "core/tolerance.hpp"
+#include "obs/registry.hpp"
 
 namespace tol = sysuq::tolerance;
 
@@ -33,8 +38,10 @@ bn::BayesianNetwork paper_network() {
   return sysuq::perception::table1_network();
 }
 
-// Random DAG, as in the VariableElimination property test.
-bn::BayesianNetwork random_network(pr::Rng& rng, std::size_t n) {
+// Random DAG, as in the VariableElimination property test; each earlier
+// variable is a parent with probability `edge_p`.
+bn::BayesianNetwork random_network(pr::Rng& rng, std::size_t n,
+                                   double edge_p = 0.4) {
   bn::BayesianNetwork net;
   std::vector<std::size_t> cards;
   for (std::size_t i = 0; i < n; ++i) {
@@ -49,7 +56,7 @@ bn::BayesianNetwork random_network(pr::Rng& rng, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<bn::VariableId> parents;
     for (std::size_t j = 0; j < i; ++j) {
-      if (rng.bernoulli(0.4)) parents.push_back(j);
+      if (rng.bernoulli(edge_p)) parents.push_back(j);
     }
     std::size_t rows = 1;
     for (auto p : parents) rows *= cards[p];
@@ -418,6 +425,354 @@ TEST(EngineBackends, TreeCacheKeyedByFullAssignmentNotSignature) {
   EXPECT_EQ(engine.jt_cache_stats().entries, 0u);
   EXPECT_EQ(engine.jt_cache_stats().hits, 0u);
   EXPECT_EQ(engine.jt_cache_stats().misses, 0u);
+}
+
+// ---- junction-tree structure: built once per evidence-key set ----
+
+namespace {
+
+std::size_t overlap(const std::vector<bn::VariableId>& a,
+                    const std::vector<bn::VariableId>& b) {
+  std::vector<bn::VariableId> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out.size();
+}
+
+// The spanning-tree step as it stood before the O(m²) Prim: every step
+// rescans every (outside, inside) clique pair — O(m³) intersections —
+// keeping the largest weight, then the smallest new clique, then the
+// smallest attachment. `tied_steps` counts steps where more than one
+// pair reached the winning weight.
+struct ReferenceTree {
+  std::vector<std::size_t> parent;
+  std::vector<std::size_t> order;
+  std::size_t tied_steps = 0;
+};
+
+ReferenceTree cubic_prim(const std::vector<std::vector<bn::VariableId>>& cliques) {
+  const std::size_t m = cliques.size();
+  ReferenceTree ref;
+  ref.parent.assign(m, bn::JunctionTree::kNoClique);
+  if (m == 0) return ref;
+  std::vector<char> in_tree(m, 0);
+  in_tree[0] = 1;
+  ref.order.push_back(0);
+  for (std::size_t step = 1; step < m; ++step) {
+    std::size_t best_new = 0, best_attach = 0, best_w = 0, ties = 0;
+    bool found = false;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (in_tree[i]) continue;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (!in_tree[j]) continue;
+        const std::size_t w = overlap(cliques[i], cliques[j]);
+        if (!found || w > best_w) {
+          found = true;
+          best_w = w;
+          best_new = i;
+          best_attach = j;
+          ties = 1;
+        } else if (w == best_w) {
+          ++ties;
+        }
+      }
+    }
+    if (ties > 1) ++ref.tied_steps;
+    in_tree[best_new] = 1;
+    ref.parent[best_new] = best_attach;
+    ref.order.push_back(best_new);
+  }
+  return ref;
+}
+
+void expect_same_marginals(const std::vector<pr::Categorical>& got,
+                           const std::vector<pr::Categorical>& want,
+                           const std::string& tag) {
+  ASSERT_EQ(got.size(), want.size()) << tag;
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    ASSERT_EQ(got[v].size(), want[v].size()) << tag << " v" << v;
+    for (std::size_t s = 0; s < want[v].size(); ++s)
+      EXPECT_EQ(got[v].p(s), want[v].p(s)) << tag << " v" << v << "/" << s;
+  }
+}
+
+// Process-wide count of clique-tree structures built. Reads 0 when the
+// obs layer is compiled out, so callers check `obs::metrics_enabled()`.
+std::uint64_t structure_builds() {
+  return sysuq::obs::Registry::global()
+      .counter("bayesnet.jt.structure_builds")
+      .value();
+}
+
+// Evidence on `keys` whose state bits spell `code` (key i takes bit i).
+bn::Evidence bits_evidence(const std::vector<bn::VariableId>& keys,
+                           std::size_t code) {
+  bn::Evidence ev;
+  for (std::size_t i = 0; i < keys.size(); ++i) ev[keys[i]] = (code >> i) & 1u;
+  return ev;
+}
+
+}  // namespace
+
+TEST(JunctionTree, SpanningTreeMatchesCubicReference) {
+  pr::Rng rng(1401);
+  std::size_t tied_steps = 0;
+  const auto check = [&](const bn::BayesianNetwork& net, const bn::Evidence& ev,
+                         const std::string& tag) {
+    const bn::JunctionTree jt(net, ev);
+    const auto& s = jt.structure();
+    const ReferenceTree ref = cubic_prim(s.cliques);
+    EXPECT_EQ(s.parent, ref.parent) << tag;
+    EXPECT_EQ(s.order, ref.order) << tag;
+    tied_steps += ref.tied_steps;
+  };
+  // Random DAGs, dense and sparse, with random evidence.
+  for (int t = 0; t < 40; ++t) {
+    const auto net =
+        random_network(rng, 6 + rng.uniform_index(20), t % 2 ? 0.4 : 0.12);
+    bn::Evidence ev;
+    for (bn::VariableId v = 0; v < net.size(); ++v) {
+      if (rng.bernoulli(0.2)) ev[v] = 0;
+    }
+    check(net, ev, std::string("random ").append(std::to_string(t)));
+  }
+  // Tie-heavy: a star, where every separator is the hub (weight 1
+  // everywhere), and a chain cut by evidence into components joined
+  // only by zero-weight edges.
+  bn::BayesianNetwork star;
+  const auto hub = star.add_variable("hub", {"0", "1"});
+  star.set_cpt(hub, {}, {pr::Categorical({0.3, 0.7})});
+  for (int i = 0; i < 12; ++i) {
+    const auto leaf =
+        star.add_variable(std::string("leaf").append(std::to_string(i)), {"0", "1"});
+    star.set_cpt(leaf, {hub},
+                 {pr::Categorical({0.9, 0.1}), pr::Categorical({0.2, 0.8})});
+  }
+  check(star, {}, "star");
+  bn::BayesianNetwork chain;
+  for (int i = 0; i < 16; ++i) {
+    const auto v =
+        chain.add_variable(std::string("c").append(std::to_string(i)), {"0", "1"});
+    if (i == 0) {
+      chain.set_cpt(v, {}, {pr::Categorical({0.5, 0.5})});
+    } else {
+      chain.set_cpt(v, {v - 1},
+                    {pr::Categorical({0.7, 0.3}), pr::Categorical({0.4, 0.6})});
+    }
+  }
+  check(chain, {{4, 1}, {8, 0}, {12, 1}}, "cut chain");
+  EXPECT_GT(tied_steps, 20u);  // the tie-breaks were actually exercised
+}
+
+TEST(JunctionTree, SharedStructureIsBitIdenticalToStandalone) {
+  pr::Rng rng(1402);
+  for (int t = 0; t < 8; ++t) {
+    const auto net = random_network(rng, 10, 0.3);
+    bn::InferenceEngine engine(
+        net, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+    for (const std::vector<bn::VariableId>& keys :
+         {std::vector<bn::VariableId>{0, 3}, std::vector<bn::VariableId>{1, 5, 8}}) {
+      for (std::size_t code = 0; code < 4; ++code) {
+        const bn::Evidence ev = bits_evidence(keys, code);
+        const bn::JunctionTree fresh(net, ev);
+        const std::string tag =
+            std::string("net ").append(std::to_string(t)).append(" code ").append(
+                std::to_string(code));
+        EXPECT_EQ(engine.log_evidence_probability(ev),
+                  fresh.log_evidence_probability())
+            << tag;
+        expect_same_marginals(engine.all_marginals(ev), fresh.all_marginals(), tag);
+      }
+    }
+    EXPECT_EQ(engine.jt_cache_stats().misses, 8u);
+  }
+
+  // The public constructor over one shared structure: every tree reads
+  // the same instance and matches a fresh standalone tree.
+  const auto net = random_network(rng, 9, 0.35);
+  const std::vector<bn::VariableId> keys{2, 6};
+  const auto structure = bn::JunctionTree::Structure::build(
+      net, keys,
+      std::make_shared<const bn::EliminationOrdering>(
+          bn::compute_elimination_order(net, {}, keys)));
+  const auto cpts = net.cpt_factors();
+  for (std::size_t code = 0; code < 4; ++code) {
+    const bn::Evidence ev = bits_evidence(keys, code);
+    const bn::JunctionTree shared(net, ev, structure, cpts);
+    const bn::JunctionTree fresh(net, ev);
+    EXPECT_EQ(&shared.structure(), structure.get());
+    EXPECT_EQ(shared.cliques(), fresh.cliques());
+    EXPECT_EQ(shared.log_evidence_probability(), fresh.log_evidence_probability());
+    expect_same_marginals(shared.all_marginals(), fresh.all_marginals(),
+                          std::string("shared ").append(std::to_string(code)));
+  }
+}
+
+TEST(JunctionTree, SharedStructureKeepsImpossibleAndDegenerateEvidence) {
+  // {b: 1} is impossible and {b: 0} is not; both share b's structure.
+  const auto net = unreachable_state_network();
+  bn::InferenceEngine engine(
+      net, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+  const bn::Evidence impossible{{1, 1}};
+  const bn::Evidence possible{{1, 0}};
+  const bn::JunctionTree fresh_bad(net, impossible);
+  EXPECT_EQ(engine.log_evidence_probability(impossible),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(fresh_bad.log_evidence_probability(),
+            -std::numeric_limits<double>::infinity());
+  try {
+    (void)engine.all_marginals(impossible);
+    FAIL() << "expected std::domain_error";
+  } catch (const std::domain_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              bn::impossible_evidence_message(net, impossible));
+  }
+  const bn::JunctionTree fresh_ok(net, possible);
+  EXPECT_EQ(engine.log_evidence_probability(possible),
+            fresh_ok.log_evidence_probability());
+  expect_same_marginals(engine.all_marginals(possible), fresh_ok.all_marginals(),
+                        "possible");
+
+  // Every variable observed: no cliques at all; P(e) is the product of
+  // the reduced CPT constants, zero for the unreachable assignment.
+  const auto paper = paper_network();
+  bn::InferenceEngine paper_engine(
+      paper, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+  std::vector<bn::VariableId> all_keys;
+  for (bn::VariableId v = 0; v < paper.size(); ++v) all_keys.push_back(v);
+  for (std::size_t code = 0; code < 4; ++code) {
+    const bn::Evidence ev = bits_evidence(all_keys, code);
+    const bn::JunctionTree fresh(paper, ev);
+    EXPECT_EQ(fresh.clique_count(), 0u);
+    EXPECT_EQ(paper_engine.log_evidence_probability(ev),
+              fresh.log_evidence_probability());
+    if (std::isinf(fresh.log_evidence_probability())) {
+      EXPECT_THROW((void)paper_engine.all_marginals(ev), std::domain_error);
+      continue;
+    }
+    expect_same_marginals(paper_engine.all_marginals(ev), fresh.all_marginals(),
+                          std::string("observed ").append(std::to_string(code)));
+  }
+  const bn::Evidence all_bad{{0, 0}, {1, 1}};
+  EXPECT_EQ(engine.log_evidence_probability(all_bad),
+            bn::JunctionTree(net, all_bad).log_evidence_probability());
+  EXPECT_THROW((void)engine.all_marginals(all_bad), std::domain_error);
+}
+
+TEST(JunctionTree, EnginesInOneStackSlotNeverShareAStructure) {
+  // Networks and engines rebuilt in the same storage: each engine keeps
+  // its own structures, so an address-keyed memo would be caught here.
+  pr::Rng rng(1403);
+  std::optional<bn::BayesianNetwork> net;
+  std::optional<bn::InferenceEngine> engine;
+  const bn::BayesianNetwork* slot = nullptr;
+  const bn::Evidence ev{{0, 1}};
+  for (int t = 0; t < 6; ++t) {
+    engine.reset();
+    net.emplace(random_network(rng, 5 + 3 * (t % 3), t % 2 ? 0.5 : 0.2));
+    if (slot == nullptr) slot = &*net;
+    ASSERT_EQ(&*net, slot);
+    engine.emplace(*net, bn::InferenceEngine::Options{
+                             .threads = 1, .backend = bn::Backend::kJunctionTree});
+    const auto before = structure_builds();
+    const auto got = engine->all_marginals(ev);
+    if (sysuq::obs::metrics_enabled()) {
+      EXPECT_EQ(structure_builds() - before, 1u);
+    }
+    const bn::JunctionTree fresh(*net, ev);
+    expect_same_marginals(got, fresh.all_marginals(),
+                          std::string("engine ").append(std::to_string(t)));
+    EXPECT_EQ(engine->log_evidence_probability(ev),
+              fresh.log_evidence_probability());
+  }
+}
+
+TEST(JunctionTree, ClearCacheDropsStructures) {
+  const auto net = paper_network();
+  bn::InferenceEngine engine(
+      net, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+  const bn::Evidence e1{{1, 0}};
+  const bn::Evidence e2{{1, 2}};  // same keys, another assignment
+  const auto before = structure_builds();
+  const auto m1 = engine.all_marginals(e1);
+  (void)engine.all_marginals(e2);
+  EXPECT_EQ(engine.jt_cache_stats().misses, 2u);
+  if (sysuq::obs::metrics_enabled()) {
+    EXPECT_EQ(structure_builds() - before, 1u);
+  }
+  engine.clear_cache();
+  expect_same_marginals(engine.all_marginals(e1), m1, "after clear");
+  if (sysuq::obs::metrics_enabled()) {
+    EXPECT_EQ(structure_builds() - before, 2u);
+  }
+}
+
+TEST(JunctionTree, ConcurrentBatchGroupsRaceForOneStructure) {
+  // Many batch groups over two key sets, calibrated concurrently: the
+  // groups of a key set race to build its structure and the first insert
+  // wins. Run under the asan and tsan presets as well.
+  pr::Rng rng(1404);
+  const auto net = random_network(rng, 14, 0.3);
+  const std::vector<bn::VariableId> ka{0, 1, 2};
+  const std::vector<bn::VariableId> kb{3, 4};
+  std::vector<bn::Evidence> assignments;
+  for (std::size_t code = 0; code < 6; ++code)
+    assignments.push_back(bits_evidence(ka, code));
+  for (std::size_t code = 0; code < 4; ++code)
+    assignments.push_back(bits_evidence(kb, code));
+  std::vector<bn::QuerySpec> batch;
+  for (bn::VariableId q = 0; q < net.size(); ++q) {
+    for (const auto& ev : assignments) batch.push_back({q, ev});
+  }
+  for (int rep = 0; rep < 4; ++rep) {
+    bn::InferenceEngine engine(
+        net, {.threads = 4, .backend = bn::Backend::kJunctionTree});
+    const auto got = engine.query_batch(batch);
+    EXPECT_EQ(engine.jt_cache_stats().entries, assignments.size());
+    // New assignments over known keys calibrate new trees on the
+    // structures the batch built.
+    const auto before = structure_builds();
+    (void)engine.all_marginals(bits_evidence(ka, 6));
+    (void)engine.all_marginals(bits_evidence(ka, 7));
+    EXPECT_EQ(engine.jt_cache_stats().entries, assignments.size() + 2);
+    if (sysuq::obs::metrics_enabled()) {
+      EXPECT_EQ(structure_builds(), before);
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const bn::JunctionTree fresh(net, batch[i].evidence);
+      const auto want = fresh.query(batch[i].query);
+      for (std::size_t s = 0; s < want.size(); ++s)
+        ASSERT_EQ(got[i].p(s), want.p(s)) << rep << "/" << i;
+    }
+  }
+}
+
+TEST(Engine, AutoGuardOrderingLeavesCacheStatsUnchanged) {
+  // Under kAuto the feasibility guard runs min-fill for a cold key set;
+  // the ordering cache and the junction tree adopt that ordering, but
+  // the ordering cache still counts exactly its own lookups.
+  pr::Rng rng(1405);
+  const auto net = random_network(rng, 12, 0.3);
+  bn::InferenceEngine autos(net, {.threads = 1, .backend = bn::Backend::kAuto});
+  bn::InferenceEngine ve(
+      net, {.threads = 1, .backend = bn::Backend::kVariableElimination});
+  const bn::Evidence e1{{0, 1}};
+  const bn::Evidence e2{{2, 0}, {5, 1}};
+  const auto a = autos.query(7, e1);
+  EXPECT_EQ(autos.cache_stats().misses, 1u);
+  EXPECT_EQ(autos.cache_stats().entries, 1u);
+  (void)autos.all_marginals(e2);  // guard + junction tree, no VE
+  EXPECT_EQ(autos.cache_stats().misses, 1u);
+  EXPECT_EQ(autos.cache_stats().entries, 1u);
+  const auto b = autos.query(7, e2);
+  EXPECT_EQ(autos.cache_stats().misses, 2u);
+  EXPECT_EQ(autos.cache_stats().entries, 2u);
+  (void)autos.query(7, e2);
+  EXPECT_EQ(autos.cache_stats().hits, 1u);
+  const auto ra = ve.query(7, e1);
+  const auto rb = ve.query(7, e2);
+  for (std::size_t s = 0; s < ra.size(); ++s) EXPECT_EQ(a.p(s), ra.p(s));
+  for (std::size_t s = 0; s < rb.size(); ++s) EXPECT_EQ(b.p(s), rb.p(s));
 }
 
 // ---- unified impossible-evidence error semantics ----

@@ -540,6 +540,35 @@ TEST(LoopyBP, EngineBackendMatchesDirectConstruction) {
   EXPECT_EQ(all[4].width(), 0.0);  // observed variable holds a delta
 }
 
+TEST(LoopyBP, EngineCptFactorsGiveBitIdenticalPointsAndBounds) {
+  // The engine hands BP its prebuilt CPT factors instead of letting each
+  // run rebuild them; points, bounds and iteration counts must not move.
+  pr::Rng rng(1404ULL);
+  for (int t = 0; t < 6; ++t) {
+    const auto net = noisy_or_network(rng, 8, 6, 4);
+    bn::Evidence ev;
+    for (bn::VariableId f = 8; f < net.size(); ++f) {
+      if (rng.bernoulli(0.6)) ev[f] = rng.bernoulli(0.3) ? 1 : 0;
+    }
+    const bn::LoopyBP direct(net, ev);
+    const bn::LoopyBP prebuilt(net, ev, {}, net.cpt_factors());
+    bn::InferenceEngine engine(
+        net, {.threads = 1, .backend = bn::Backend::kLoopyBP});
+    const auto all = engine.all_marginals_bounded(ev);
+    ASSERT_EQ(direct.iterations(), prebuilt.iterations()) << t;
+    for (bn::VariableId q = 0; q < net.size(); ++q) {
+      const auto& a = direct.query(q);
+      for (const auto* b : {&prebuilt.query(q), &all[q]}) {
+        for (std::size_t s = 0; s < a.point.size(); ++s) {
+          EXPECT_EQ(a.point.p(s), b->point.p(s)) << t << "/" << q;
+          EXPECT_EQ(a.lo[s], b->lo[s]) << t << "/" << q;
+          EXPECT_EQ(a.hi[s], b->hi[s]) << t << "/" << q;
+        }
+      }
+    }
+  }
+}
+
 TEST(LoopyBP, QueryBoundedWorksUnderExactBackends) {
   // query_bounded routes through BP no matter which backend answers
   // plain queries, so exact users can ask for certified intervals.
